@@ -1,11 +1,14 @@
 """Command-line front end producing deterministic CSV/JSON artifacts.
 
 Subcommands: design, spectrum, evolve, sweep-tf, sweep-eps, and
-figure <preset> for the eight built-in experiment presets. A JSON config
-file provides any subset of the options; command-line flags override
-file values. Unknown config keys are rejected. Exit codes: 0 success,
-2 configuration error, 3 numerical failure. The environment variable
-FAQUAD_WORKERS caps the number of concurrent sweep workers (default 1).
+figure <preset> for the eight built-in experiment presets. A preset is a
+shared config plus a list of steps, most of them subcommands, run into
+one output directory. A JSON config file provides any subset of the
+options; command-line flags override file values, which override preset
+values. Unknown config keys, and keys that a preset's steps set, are
+rejected. Exit codes: 0 success, 2 configuration error, 3 numerical
+failure. The environment variable FAQUAD_WORKERS caps the number of
+concurrent sweep workers (default 1).
 
 All CSV numbers are written with ``%.12g`` so that re-running an
 identical configuration reproduces byte-identical files.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -69,7 +73,9 @@ def _write_csv(path, header, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _require_keys(section: dict, allowed, where: str):
+def _require_keys(section, allowed, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {where}.{key}")
@@ -82,8 +88,12 @@ def _validate_model(mdl) -> None:
     if kind not in _MODEL_KEYS:
         raise ConfigError(f"unknown model kind {kind!r}")
     _require_keys(mdl, _MODEL_KEYS[kind], "config.model")
-    if kind == "ring" and int(mdl.get("K", 40)) < MIN_RING_K:
-        raise ConfigError(f"config.model.K must be >= {MIN_RING_K} for converged runs")
+    if kind == "ring":
+        K = mdl.get("K", 40)
+        if isinstance(K, bool) or not isinstance(K, numbers.Integral):
+            raise ConfigError(f"config.model.K must be an integer, got {K!r}")
+        if K < MIN_RING_K:
+            raise ConfigError(f"config.model.K must be >= {MIN_RING_K} for converged runs")
 
 
 def _validate_config(cfg: dict):
@@ -171,10 +181,17 @@ def _parse_start_target(value):
 
 
 class _Run:
-    """Accumulates outputs plus manifest data for one invocation."""
+    """Outputs and manifest data of one invocation.
+
+    A figure preset runs several steps into one directory. While a step
+    runs, ``tag`` holds its tag, which ``path`` and ``derive`` append to
+    file stems and derived keys: ``sweep.csv`` becomes ``sweep_faquad.csv``
+    and ``c_tilde`` becomes ``c_tilde_faquad``.
+    """
 
     def __init__(self, out_dir, command, cfg):
         self.out_dir = out_dir
+        self.tag = None
         self.started = time.monotonic()
         self.manifest = {
             "command": command,
@@ -184,14 +201,28 @@ class _Run:
             "derived": {},
             "point_failures": [],
         }
-        os.makedirs(out_dir, exist_ok=True)
+
+    def _tagged(self, name):
+        return name if self.tag is None else f"{name}_{self.tag}"
 
     def path(self, name):
+        stem, ext = os.path.splitext(name)
+        name = self._tagged(stem) + ext
+        os.makedirs(self.out_dir, exist_ok=True)
         self.manifest["outputs"].append(name)
         return os.path.join(self.out_dir, name)
 
+    def derive(self, key, value):
+        self.manifest["derived"][self._tagged(key)] = value
+
+    def failures(self, entries):
+        if self.tag is not None:
+            entries = (dict(e, step=self.tag) for e in entries)
+        self.manifest["point_failures"].extend(entries)
+
     def finish(self) -> int:
         self.manifest["wall_time_s"] = round(time.monotonic() - self.started, 3)
+        os.makedirs(self.out_dir, exist_ok=True)
         with open(os.path.join(self.out_dir, "manifest.json"), "w") as handle:
             json.dump(self.manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -202,21 +233,24 @@ def _trajectory_rows(traj):
     return zip(traj.s_grid, traj.values)
 
 
-def _cmd_design(cfg, out_dir):
+def _n_steps(cfg):
+    n_steps = cfg.get("integrator", {}).get("n_steps")
+    return None if n_steps is None else int(n_steps)
+
+
+def _cmd_design(cfg, run):
     spec = _build_spec(cfg["model"])
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
-    run = _Run(out_dir, "design", cfg)
     _write_csv(run.path("trajectory.csv"), "s,lambda", _trajectory_rows(traj))
-    run.manifest["derived"]["kind"] = traj.kind
+    run.derive("kind", traj.kind)
     if traj.c_tilde is not None:
-        run.manifest["derived"]["c_tilde"] = traj.c_tilde
+        run.derive("c_tilde", traj.c_tilde)
         phi = _perturbation.phase_integral(traj)
-        run.manifest["derived"]["phi"] = phi
-        run.manifest["derived"]["period"] = 2.0 * math.pi / phi
-    return run.finish()
+        run.derive("phi", phi)
+        run.derive("period", 2.0 * math.pi / phi)
 
 
-def _cmd_spectrum(cfg, out_dir):
+def _cmd_spectrum(cfg, run):
     spec = _build_spec(cfg["model"])
     levels = int(cfg.get("levels", 5))
     points = int(cfg.get("points", 161))
@@ -224,7 +258,6 @@ def _cmd_spectrum(cfg, out_dir):
     energies = np.linalg.eigvalsh(
         np.stack([_model.hamiltonian(spec, x) for x in grid])
     )[:, :levels]
-    run = _Run(out_dir, "spectrum", cfg)
     rows = [(lam, n + 1, energies[i, n]) for i, lam in enumerate(grid) for n in range(levels)]
     _write_csv(run.path("spectrum.csv"), "lambda,n,energy", rows)
     if spec.kind == _model.RING:
@@ -233,10 +266,9 @@ def _cmd_spectrum(cfg, out_dir):
             alphas = _model.ring_alpha_roots(lam, spec.params.u0, levels)
             rows.extend((lam, n + 1, alphas[n], alphas[n] ** 2) for n in range(levels))
         _write_csv(run.path("alpha.csv"), "lambda,n,alpha,energy", rows)
-    return run.finish()
 
 
-def _cmd_evolve(cfg, out_dir):
+def _cmd_evolve(cfg, run):
     spec = _build_spec(cfg["model"])
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
     sweep = cfg.get("sweep", {})
@@ -256,59 +288,48 @@ def _cmd_evolve(cfg, out_dir):
                               n_steps=n_steps, n_save=n_save)
     proj = _dynamics.adiabatic_projection(spec, control, result)
 
-    run = _Run(out_dir, "evolve", cfg)
     rows = []
     for k, t in enumerate(proj.times):
         for n in range(spec.dim):
             gg = proj.g[k, n]
             rows.append((t, n + 1, gg.real, gg.imag))
     _write_csv(run.path("projection.csv"), "t,n,re_g,im_g", rows)
-    run.manifest["derived"]["n_steps"] = result.n_steps
-    run.manifest["derived"]["norm_drift"] = result.norm_drift
-    run.manifest["derived"]["final_populations"] = [
-        float(np.abs(result.final_state[i]) ** 2) for i in range(spec.dim)
-    ]
+    run.derive("n_steps", result.n_steps)
+    run.derive("norm_drift", result.norm_drift)
+    run.derive("final_populations",
+               [float(np.abs(result.final_state[i]) ** 2) for i in range(spec.dim)])
     if traj.c_tilde is not None:
-        run.manifest["derived"]["c_tilde"] = traj.c_tilde
-    return run.finish()
+        run.derive("c_tilde", traj.c_tilde)
 
 
-def _sweep_population(spec, traj, cfg, tf_grid):
-    integ = cfg.get("integrator", {})
-    n_steps = integ.get("n_steps")
+def _cmd_sweep_tf(cfg, run):
+    spec = _build_spec(cfg["model"])
+    traj = _build_trajectory(spec, cfg.get("protocol", {}))
+    tf_grid = _tf_grid(cfg.get("sweep", {}))
+    n_steps = _n_steps(cfg)
     if n_steps is None:
         n_steps = _dynamics.default_n_steps(spec, traj, float(np.max(tf_grid)))
     start = _parse_start_target(cfg.get("start", _dynamics.GROUND))
     target = _parse_start_target(cfg.get("target", 1))
     curve = _dynamics.fidelity_sweep(spec, traj, tf_grid, start=start, target=target,
                                      n_steps=int(n_steps), workers=_workers())
-    return curve, int(n_steps)
-
-
-def _cmd_sweep_tf(cfg, out_dir):
-    spec = _build_spec(cfg["model"])
-    traj = _build_trajectory(spec, cfg.get("protocol", {}))
-    tf_grid = _tf_grid(cfg.get("sweep", {}))
-    curve, n_steps = _sweep_population(spec, traj, cfg, tf_grid)
     if np.all(np.isnan(curve.population)):
         raise FaquadError("every sweep point failed")
 
-    run = _Run(out_dir, "sweep-tf", cfg)
     _write_csv(run.path("sweep.csv"), "tf,population", zip(curve.tf, curve.population))
-    run.manifest["derived"]["n_steps"] = n_steps
-    run.manifest["point_failures"] = [{"tf": t, "error": m} for t, m in curve.failures]
+    run.derive("n_steps", int(n_steps))
+    run.failures({"tf": t, "error": m} for t, m in curve.failures)
     if traj.c_tilde is not None:
         pred = _perturbation.predict(traj)
-        run.manifest["derived"]["c_tilde"] = pred.c_tilde
-        run.manifest["derived"]["phi"] = pred.phi
-        run.manifest["derived"]["period"] = pred.period
+        run.derive("c_tilde", pred.c_tilde)
+        run.derive("phi", pred.phi)
+        run.derive("period", pred.period)
         rows = zip(curve.tf, _perturbation.predicted_infidelity(pred, curve.tf),
                    pred.envelope(curve.tf))
         _write_csv(run.path("prediction.csv"), "tf,predicted_infidelity,envelope", rows)
-    return run.finish()
 
 
-def _cmd_sweep_eps(cfg, out_dir):
+def _cmd_sweep_eps(cfg, run):
     spec = _build_spec(cfg["model"])
     if spec.kind != _model.RING:
         raise ConfigError("sweep-eps is defined for the ring model")
@@ -318,32 +339,86 @@ def _cmd_sweep_eps(cfg, out_dir):
     t_f = float(sweep["tf"])
     ns = [int(n) for n in sweep.get("N", (3, 9))]
     epsilons = [float(e) for e in sweep.get("epsilons", _tg.DEFAULT_EPSILONS)]
-    integ = cfg.get("integrator", {})
-    n_steps = integ.get("n_steps")
 
-    run = _Run(out_dir, "sweep-eps", cfg)
     rows = []
     for N in ns:
         proto = dict(cfg.get("protocol", {}))
         proto.setdefault("pair", (N, N + 1))
         traj = _build_trajectory(spec, proto)
-        curve = _tg.epsilon_sweep(spec, N, traj, t_f, epsilons,
-                                  n_steps=None if n_steps is None else int(n_steps))
+        curve = _tg.epsilon_sweep(spec, N, traj, t_f, epsilons, n_steps=_n_steps(cfg))
         rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
-        run.manifest["point_failures"].extend(
-            {"N": N, "epsilon": e, "error": m} for e, m in curve.failures
-        )
+        run.failures({"N": N, "epsilon": e, "error": m} for e, m in curve.failures)
         if traj.c_tilde is not None:
-            run.manifest["derived"][f"c_tilde_N{N}"] = traj.c_tilde
+            run.derive(f"c_tilde_N{N}", traj.c_tilde)
     if all(np.isnan(r[1]) for r in rows):
         raise FaquadError("every sweep point failed")
     _write_csv(run.path("epsilon.csv"), "epsilon,fidelity,N", rows)
-    run.manifest["derived"]["tf"] = t_f
-    return run.finish()
+    run.derive("tf", t_f)
+
+
+# fig5b and fig6a have no subcommand that does their job at the same cost,
+# so they run as preset-only steps. Each designs its own schedules at the
+# level pair (N, N + 1) for every N in sweep.N.
+_TG_PROTOCOLS = ("faquad", "linear")
+
+
+def _fixed_protocol(cfg):
+    if "protocol" in cfg:
+        raise ConfigError("config.protocol is set by the preset and cannot be given")
+
+
+def _figure_ring_trajectories(cfg, run):
+    """The FAQUAD schedule of each N, one trajectory_N<N>.csv apiece."""
+    _fixed_protocol(cfg)
+    spec = _build_spec(cfg["model"])
+    for N in cfg["sweep"]["N"]:
+        N = int(N)
+        traj = _build_trajectory(spec, {"pair": (N, N + 1)})
+        _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", _trajectory_rows(traj))
+        run.derive(f"c_tilde_N{N}", traj.c_tilde)
+
+
+def _figure_tg_duration(cfg, run):
+    """Many-body fidelity against duration for each N and each of
+    _TG_PROTOCOLS, all in one tg_sweep.csv."""
+    _fixed_protocol(cfg)
+    spec = _build_spec(cfg["model"])
+    tf_grid = _tf_grid(cfg["sweep"])
+    rows = []
+    for N in cfg["sweep"]["N"]:
+        N = int(N)
+        for kind in _TG_PROTOCOLS:
+            traj = _build_trajectory(spec, {"kind": kind, "pair": (N, N + 1)})
+            curve = _tg.duration_sweep(spec, N, traj, tf_grid, n_steps=_n_steps(cfg))
+            rows.extend((t, f, N, kind) for t, f in zip(curve.abscissa, curve.fidelity))
+            run.failures({"N": N, "protocol": kind, "tf": t, "error": m}
+                         for t, m in curve.failures)
+            if traj.c_tilde is not None:
+                run.derive(f"c_tilde_N{N}", traj.c_tilde)
+    _write_csv(run.path("tg_sweep.csv"), "tf,fidelity,N,protocol", rows)
+
+
+_COMMANDS = {
+    "design": _cmd_design,
+    "spectrum": _cmd_spectrum,
+    "evolve": _cmd_evolve,
+    "sweep-tf": _cmd_sweep_tf,
+    "sweep-eps": _cmd_sweep_eps,
+}
+_STEPS = dict(_COMMANDS, **{"ring-trajectories": _figure_ring_trajectories,
+                            "tg-duration": _figure_tg_duration})
 
 
 def builtin_figures() -> dict:
-    """The eight built-in experiment presets, keyed by figure tag."""
+    """The eight built-in experiment presets, keyed by figure tag.
+
+    A preset is the config its steps share plus ``steps``, a list of
+    (command, overrides, tag). Each step runs ``command`` on the shared
+    config with ``overrides`` laid over it, section by section, and
+    appends ``_<tag>`` to the stems of its files and to its derived keys
+    (a tag of None appends nothing). No shared config holds a key that
+    one of its steps sets.
+    """
     two_level = {"kind": "two-level", "U": 22.3, "J": 1.0,
                  "lambda_start": 66.7, "lambda_end": 0.0}
     splitting = {"kind": "bose-hubbard-3", "U": 33.45, "J": 1.0,
@@ -352,155 +427,96 @@ def builtin_figures() -> dict:
                    "lambda_start": 66.7, "lambda_end": -66.7}
     ring_dyn = {"kind": "ring", "u0": 0.5, "K": 40,
                 "lambda_start": 0.0, "lambda_end": math.pi}
-    ring_spec = {"kind": "ring", "u0": 4.0, "K": 60,
-                 "lambda_start": 0.0, "lambda_end": math.pi}
+    ring_spec = {"kind": "ring", "K": 60, "lambda_start": 0.0, "lambda_end": math.pi}
+
+    def sweeps(*kinds):
+        return [("sweep-tf", {"protocol": {"kind": k}}, k.replace("-", "_")) for k in kinds]
+
     return {
         "fig1b": {
             "model": dict(two_level),
-            "protocols": ["faquad"],
             "sweep": {"tf_min": 0.05, "tf_max": 10.0, "tf_count": 300},
-            "start": "ground", "target": 1, "prediction": True,
+            "start": "ground", "target": 1,
+            "steps": sweeps("faquad"),
         },
         "fig1d": {
             "model": dict(two_level),
-            "protocols": ["local-adiabatic", "uniform-adiabatic", "linear"],
             "sweep": {"tf_min": 0.05, "tf_max": 10.0, "tf_count": 300},
-            "start": "ground", "target": 1, "prediction": False,
+            "start": "ground", "target": 1,
+            "steps": sweeps("local-adiabatic", "uniform-adiabatic", "linear"),
         },
         "fig3b": {
             "model": dict(splitting),
-            "protocols": ["faquad", "linear"],
             "sweep": {"tf_min": 0.05, "tf_max": 60.0, "tf_count": 300},
-            "start": "ground", "target": 2, "prediction": False,
+            "start": "ground", "target": 2,
+            "steps": sweeps("faquad", "linear"),
         },
         "fig4b": {
             "model": dict(cotunneling),
-            "protocols": ["faquad", "linear"],
             "sweep": {"tf_min": 0.05, "tf_max": 80.0, "tf_count": 320},
-            "start": "ground", "target": 1, "prediction": False,
+            "start": "ground", "target": 1,
+            "steps": sweeps("faquad", "linear"),
         },
         "fig5a": {
             "model": dict(ring_spec),
-            "spectrum": {"points": 161, "levels": 5, "u0_values": [4.0, 0.5]},
+            "levels": 5, "points": 161,
+            "steps": [("spectrum", {"model": {"u0": 4.0}}, "u0_4"),
+                      ("spectrum", {"model": {"u0": 0.5}}, "u0_0p5")],
         },
         "fig5b": {
             "model": dict(ring_dyn),
-            "trajectories": {"N": [1, 3, 5, 7, 9]},
+            "sweep": {"N": [1, 3, 5, 7, 9]},
+            "steps": [("ring-trajectories", {}, None)],
         },
         "fig6a": {
             "model": dict(ring_dyn),
-            "protocols": ["faquad", "linear"],
             "sweep": {"tf_min": 5.0, "tf_max": 120.0, "tf_count": 40, "N": [3, 9]},
             "integrator": {"n_steps": 4000},
+            "steps": [("tg-duration", {}, None)],
         },
         "fig6b": {
             "model": dict(ring_dyn),
             "sweep": {"tf": 90.0, "N": [3, 9],
                       "epsilons": [round(-0.1 + 0.02 * i, 2) for i in range(11)]},
             "integrator": {"n_steps": 4000},
+            "steps": [("sweep-eps", {"protocol": {"kind": "faquad"}}, None)],
         },
     }
 
 
-def _figure_population_sweeps(cfg, run):
-    spec = _build_spec(cfg["model"])
-    tf_grid = _tf_grid(cfg["sweep"])
-    for proto_kind in cfg["protocols"]:
-        proto_cfg = {"kind": proto_kind}
-        traj = _build_trajectory(spec, proto_cfg)
-        curve, n_steps = _sweep_population(spec, traj, cfg, tf_grid)
-        tag = proto_kind.replace("-", "_")
-        _write_csv(run.path(f"sweep_{tag}.csv"), "tf,population",
-                   zip(curve.tf, curve.population))
-        run.manifest["derived"][f"n_steps_{tag}"] = n_steps
-        if traj.c_tilde is not None:
-            pred = _perturbation.predict(traj)
-            run.manifest["derived"][f"c_tilde_{tag}"] = pred.c_tilde
-            run.manifest["derived"][f"phi_{tag}"] = pred.phi
-            if cfg.get("prediction"):
-                rows = zip(curve.tf, _perturbation.predicted_infidelity(pred, curve.tf),
-                           pred.envelope(curve.tf))
-                _write_csv(run.path(f"prediction_{tag}.csv"),
-                           "tf,predicted_infidelity,envelope", rows)
+def _overlay(cfg: dict, extra: dict) -> dict:
+    """``cfg`` with ``extra`` laid over it; sections merge key by key."""
+    out = dict(cfg)
+    for key, value in extra.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = {**out[key], **value}
+        out[key] = value
+    return out
 
 
-def _figure_ring_spectrum(cfg, run):
-    base = dict(cfg["model"])
-    levels = int(cfg["spectrum"]["levels"])
-    points = int(cfg["spectrum"]["points"])
-    for u0 in cfg["spectrum"]["u0_values"]:
-        mdl = dict(base, u0=float(u0))
-        spec = _build_spec(mdl)
-        grid = np.linspace(spec.lambda_start, spec.lambda_end, points)
-        energies = np.linalg.eigvalsh(
-            np.stack([_model.hamiltonian(spec, x) for x in grid])
-        )[:, :levels]
-        tag = _fmt(u0).replace(".", "p")
-        rows = [(lam, n + 1, energies[i, n]) for i, lam in enumerate(grid)
-                for n in range(levels)]
-        _write_csv(run.path(f"spectrum_u0_{tag}.csv"), "lambda,n,energy", rows)
-        rows = []
-        for lam in grid:
-            alphas = _model.ring_alpha_roots(lam, float(u0), levels)
-            rows.extend((lam, n + 1, alphas[n], alphas[n] ** 2) for n in range(levels))
-        _write_csv(run.path(f"alpha_u0_{tag}.csv"), "lambda,n,alpha,energy", rows)
+def _step_config(cfg: dict, overrides: dict) -> dict:
+    """``cfg`` with a step's ``overrides`` laid over it. A key the step
+    sets must not come from ``cfg``: only the user can have put it there."""
+    for section, values in overrides.items():
+        for key in values:
+            if key in cfg.get(section, {}):
+                raise ConfigError(f"config.{section}.{key} is set by the preset "
+                                  f"and cannot be given")
+    step_cfg = _overlay(cfg, overrides)
+    _validate_config(step_cfg)
+    return step_cfg
 
 
-def _figure_ring_trajectories(cfg, run):
-    spec = _build_spec(cfg["model"])
-    for N in cfg["trajectories"]["N"]:
-        traj = _protocol.design_faquad(spec, pair=(int(N), int(N) + 1))
-        _write_csv(run.path(f"trajectory_N{int(N)}.csv"), "s,lambda",
-                   _trajectory_rows(traj))
-        run.manifest["derived"][f"c_tilde_N{int(N)}"] = traj.c_tilde
-
-
-def _figure_tg_duration(cfg, run):
-    spec = _build_spec(cfg["model"])
-    tf_grid = _tf_grid(cfg["sweep"])
-    n_steps = cfg.get("integrator", {}).get("n_steps")
-    rows = []
-    for N in cfg["sweep"]["N"]:
-        N = int(N)
-        for proto_kind in cfg["protocols"]:
-            if proto_kind == "faquad":
-                traj = _protocol.design_faquad(spec, pair=(N, N + 1))
-            else:
-                traj = _build_trajectory(spec, {"kind": proto_kind})
-            curve = _tg.duration_sweep(spec, N, traj, tf_grid,
-                                       n_steps=None if n_steps is None else int(n_steps))
-            rows.extend((t, f, N, proto_kind) for t, f in zip(curve.abscissa, curve.fidelity))
-            if traj.c_tilde is not None:
-                run.manifest["derived"][f"c_tilde_N{N}"] = traj.c_tilde
-    _write_csv(run.path("tg_sweep.csv"), "tf,fidelity,N,protocol", rows)
-
-
-def run_figure(name: str, cfg: dict, out_dir: str) -> int:
-    _validate_model(cfg.get("model"))
-    run = _Run(out_dir, f"figure {name}", cfg)
-    if "spectrum" in cfg:
-        _figure_ring_spectrum(cfg, run)
-    elif "trajectories" in cfg:
-        _figure_ring_trajectories(cfg, run)
-    elif "tf" in cfg.get("sweep", {}):
-        spec = _build_spec(cfg["model"])
-        n_steps = cfg.get("integrator", {}).get("n_steps")
-        rows = []
-        for N in cfg["sweep"]["N"]:
-            N = int(N)
-            traj = _protocol.design_faquad(spec, pair=(N, N + 1))
-            curve = _tg.epsilon_sweep(
-                spec, N, traj, float(cfg["sweep"]["tf"]),
-                [float(e) for e in cfg["sweep"]["epsilons"]],
-                n_steps=None if n_steps is None else int(n_steps),
-            )
-            rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
-            run.manifest["derived"][f"c_tilde_N{N}"] = traj.c_tilde
-        _write_csv(run.path("epsilon.csv"), "epsilon,fidelity,N", rows)
-    elif "N" in cfg.get("sweep", {}):
-        _figure_tg_duration(cfg, run)
-    else:
-        _figure_population_sweeps(cfg, run)
+def run_steps(command: str, cfg: dict, steps, out_dir: str) -> int:
+    """Run ``steps`` (see ``builtin_figures``) on ``cfg`` into ``out_dir``,
+    with one manifest for them all. A subcommand is a single untagged step."""
+    _validate_config(cfg)
+    configs = [(name, _step_config(cfg, overrides), tag) for name, overrides, tag in steps]
+    run = _Run(out_dir, command, cfg)
+    run.manifest["steps"] = steps
+    for name, step_cfg, tag in configs:
+        run.tag = tag
+        _STEPS[name](step_cfg, run)
     return run.finish()
 
 
@@ -517,92 +533,50 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _merge_flags(cfg: dict, args) -> dict:
-    """Overlay command-line flags onto the config dictionary."""
-    model = dict(cfg.get("model", {}))
-    if args.model:
-        model["kind"] = args.model
-    for flag in ("U", "J", "u0", "K"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            model[flag] = value
-    if args.lambda_start is not None:
-        model["lambda_start"] = args.lambda_start
-    if args.lambda_end is not None:
-        model["lambda_end"] = args.lambda_end
-    if model:
-        cfg["model"] = model
+# Each command-line flag: the config section it sets (None: top level),
+# its key there, and its argparse options.
+_FLAGS = (
+    ("--model", "model", "kind", {"choices": sorted(_MODEL_KEYS)}),
+    ("--U", "model", "U", {"type": float}),
+    ("--J", "model", "J", {"type": float}),
+    ("--u0", "model", "u0", {"type": float}),
+    ("--K", "model", "K", {"type": int}),
+    ("--lambda-start", "model", "lambda_start", {"type": float}),
+    ("--lambda-end", "model", "lambda_end", {"type": float}),
+    ("--protocol", "protocol", "kind", {"choices": sorted(_PROTOCOL_ALIASES)}),
+    ("--pair", "protocol", "pair", {"nargs": 2, "type": int, "metavar": ("I", "J")}),
+    ("--grid-points", "protocol", "grid_points", {"type": int}),
+    ("--value", "protocol", "value", {"type": float, "help": "constant protocol level"}),
+    ("--tf", "sweep", "tf", {"type": float}),
+    ("--tf-min", "sweep", "tf_min", {"type": float}),
+    ("--tf-max", "sweep", "tf_max", {"type": float}),
+    ("--tf-count", "sweep", "tf_count", {"type": int}),
+    ("--eps", "sweep", "epsilons", {"action": "append", "type": float}),
+    ("--N", "sweep", "N", {"action": "append", "type": int}),
+    ("--n-steps", "integrator", "n_steps", {"type": int}),
+    ("--n-save", "integrator", "n_save", {"type": int}),
+    ("--start", None, "start", {}),
+    ("--target", None, "target", {}),
+    ("--levels", None, "levels", {"type": int}),
+    ("--points", None, "points", {"type": int}),
+)
 
-    proto = dict(cfg.get("protocol", {}))
-    if getattr(args, "protocol", None):
-        proto["kind"] = args.protocol
-    if getattr(args, "pair", None):
-        proto["pair"] = args.pair
-    if getattr(args, "grid_points", None) is not None:
-        proto["grid_points"] = args.grid_points
-    if getattr(args, "value", None) is not None:
-        proto["value"] = args.value
-    if proto:
-        cfg["protocol"] = proto
 
-    sweep = dict(cfg.get("sweep", {}))
-    for flag, key in (("tf", "tf"), ("tf_min", "tf_min"), ("tf_max", "tf_max"),
-                      ("tf_count", "tf_count")):
-        value = getattr(args, flag, None)
+def _flag_config(args) -> dict:
+    """The config that the command-line flags given spell out."""
+    cfg = {}
+    for flag, section, key, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            sweep[key] = value
-    if getattr(args, "eps", None):
-        sweep["epsilons"] = args.eps
-    if getattr(args, "N", None):
-        sweep["N"] = args.N
-    if sweep:
-        cfg["sweep"] = sweep
-
-    integ = dict(cfg.get("integrator", {}))
-    if getattr(args, "n_steps", None) is not None:
-        integ["n_steps"] = args.n_steps
-    if getattr(args, "n_save", None) is not None:
-        integ["n_save"] = args.n_save
-    if integ:
-        cfg["integrator"] = integ
-
-    for flag in ("start", "target"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = value
-    for flag in ("levels", "points"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[flag] = value
+            (cfg.setdefault(section, {}) if section else cfg)[key] = value
     return cfg
 
 
 def _add_common_flags(parser):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default="faquad-out", help="output directory")
-    parser.add_argument("--model", choices=sorted(_MODEL_KEYS))
-    parser.add_argument("--U", type=float)
-    parser.add_argument("--J", type=float)
-    parser.add_argument("--u0", type=float)
-    parser.add_argument("--K", type=int)
-    parser.add_argument("--lambda-start", dest="lambda_start", type=float)
-    parser.add_argument("--lambda-end", dest="lambda_end", type=float)
-    parser.add_argument("--protocol", choices=sorted(_PROTOCOL_ALIASES))
-    parser.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
-    parser.add_argument("--grid-points", dest="grid_points", type=int)
-    parser.add_argument("--value", type=float, help="constant protocol level")
-    parser.add_argument("--tf", type=float)
-    parser.add_argument("--tf-min", dest="tf_min", type=float)
-    parser.add_argument("--tf-max", dest="tf_max", type=float)
-    parser.add_argument("--tf-count", dest="tf_count", type=int)
-    parser.add_argument("--eps", action="append", type=float)
-    parser.add_argument("--N", action="append", type=int)
-    parser.add_argument("--n-steps", dest="n_steps", type=int)
-    parser.add_argument("--n-save", dest="n_save", type=int)
-    parser.add_argument("--start")
-    parser.add_argument("--target")
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--points", type=int)
+    for flag, _, _, options in _FLAGS:
+        parser.add_argument(flag, **options)
 
 
 def _build_parser():
@@ -611,7 +585,7 @@ def _build_parser():
         description="Design and simulate fast quasi-adiabatic control schedules.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("design", "spectrum", "evolve", "sweep-tf", "sweep-eps"):
+    for name in _COMMANDS:
         _add_common_flags(sub.add_parser(name))
     fig = sub.add_parser("figure")
     fig.add_argument("preset", choices=sorted(builtin_figures()))
@@ -619,30 +593,20 @@ def _build_parser():
     return parser
 
 
-_COMMANDS = {
-    "design": _cmd_design,
-    "spectrum": _cmd_spectrum,
-    "evolve": _cmd_evolve,
-    "sweep-tf": _cmd_sweep_tf,
-    "sweep-eps": _cmd_sweep_eps,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "figure":
             cfg = builtin_figures()[args.preset]
-            if args.config:
-                cfg.update(_load_config(args.config))
-            cfg = _merge_flags(cfg, args)
-            return run_figure(args.preset, cfg, args.out)
-        cfg = _load_config(args.config) if args.config else {}
-        cfg = _merge_flags(cfg, args)
-        _validate_config(cfg)
+            steps = cfg.pop("steps")
+            command = f"figure {args.preset}"
+        else:
+            cfg, steps, command = {}, [(args.subcommand, {}, None)], args.subcommand
+        if args.config:
+            cfg = _overlay(cfg, _load_config(args.config))
+        cfg = _overlay(cfg, _flag_config(args))
         out_dir = cfg.pop("output_dir", None) or args.out
-        return _COMMANDS[args.subcommand](cfg, out_dir)
+        return run_steps(command, cfg, steps, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ class RingParams:
     def __post_init__(self):
         if self.u0 < 0:
             raise ValueError("ring barrier strength u0 must be >= 0")
-        if int(self.K) != self.K or self.K < 1:
+        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Integral) or self.K < 1:
             raise ValueError("ring truncation K must be a positive integer")
 
 

@@ -26,23 +26,6 @@ DEGENERACY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SpectralFrame:
-    """Eigensystem at a single control value."""
-
-    lam: float
-    energies: np.ndarray
-    vectors: np.ndarray
-    couplings: dict
-
-    def coupling(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if (i, j) in self.couplings:
-            return self.couplings[(i, j)]
-        return -self.couplings[(j, i)]
-
-
-@dataclass(frozen=True)
 class FrameTrack:
     """Sign-fixed eigensystems along a strictly monotone control grid.
 
@@ -67,15 +50,6 @@ class FrameTrack:
         ci, cj = _canonical_pair(pair, self.spec.dim)
         arr = self.couplings[(ci, cj)]
         return arr if (i, j) == (ci, cj) else -arr
-
-    def frame(self, k: int) -> SpectralFrame:
-        coup = {p: self.couplings[p][k] for p in self.couplings}
-        return SpectralFrame(
-            lam=float(self.grid[k]),
-            energies=self.energies[k],
-            vectors=self.vectors[k],
-            couplings=coup,
-        )
 
     def __len__(self) -> int:
         return len(self.grid)

@@ -209,3 +209,82 @@ def test_constant_protocol_requires_value(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
     assert cli.main(["design", *TWO_LEVEL_FLAGS, "--protocol", "constant",
                      "--value", "22.3", "--out", str(tmp_path / "p")]) == 0
+
+
+def test_preset_steps_set_no_key_of_their_shared_config():
+    for name, preset in cli.builtin_figures().items():
+        steps = preset.pop("steps")
+        cli._validate_config(preset)
+        for command, overrides, tag in steps:
+            for section, values in overrides.items():
+                assert not set(values) & set(preset.get(section, {})), (name, section)
+            cli._validate_config(cli._overlay(preset, overrides))
+
+
+def test_figure_rejects_a_key_its_steps_set(tmp_path, capsys):
+    assert cli.main(["figure", "fig1b", "--protocol", "linear",
+                     "--out", str(tmp_path / "a")]) == 2
+    assert "config.protocol.kind" in capsys.readouterr().err
+    assert cli.main(["figure", "fig5a", "--u0", "1", "--out", str(tmp_path / "b")]) == 2
+    assert "config.model.u0" in capsys.readouterr().err
+    assert cli.main(["figure", "fig6a", "--grid-points", "501",
+                     "--out", str(tmp_path / "c")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_figure_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"sweep": {"tf_min": 0.5, "tf_max": 1.0, "tf_count": 3,
+                                         "typo_key": 1}}))
+    assert cli.main(["figure", "fig1b", "--config", str(cfg), "--n-steps", "200",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "typo_key" in capsys.readouterr().err
+
+
+def test_figure_honours_points_flag(tmp_path):
+    out = tmp_path / "f5a"
+    assert cli.main(["figure", "fig5a", "--points", "7", "--K", "20", "--out", str(out)]) == 0
+    for tag in ("u0_4", "u0_0p5"):
+        for stem in ("spectrum", "alpha"):
+            _, rows = _read_csv(out / f"{stem}_{tag}.csv")
+            assert len(rows) == 7 * 5
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["points"] == 7
+    assert manifest["config"]["model"]["K"] == 20
+
+
+@pytest.mark.parametrize("K", ["x", 20.7, 40.0, True])
+def test_ring_K_must_be_an_integer(tmp_path, capsys, K):
+    cfg = tmp_path / "ring.json"
+    cfg.write_text(json.dumps({"model": {"kind": "ring", "u0": 4.0, "K": K}}))
+    assert cli.main(["spectrum", "--config", str(cfg), "--points", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "config.model.K" in capsys.readouterr().err
+
+
+FEW_LEVEL_SMOKE = ["--tf-count", "3", "--n-steps", "2000"]
+RING_SMOKE = ["--K", "20", "--n-steps", "2000"]
+
+
+@pytest.mark.parametrize("preset,flags,files", [
+    ("fig1b", FEW_LEVEL_SMOKE, {"sweep_faquad.csv", "prediction_faquad.csv"}),
+    ("fig1d", FEW_LEVEL_SMOKE, {"sweep_local_adiabatic.csv", "sweep_uniform_adiabatic.csv",
+                                "sweep_linear.csv", "prediction_local_adiabatic.csv",
+                                "prediction_uniform_adiabatic.csv"}),
+    ("fig3b", FEW_LEVEL_SMOKE, {"sweep_faquad.csv", "sweep_linear.csv",
+                                "prediction_faquad.csv"}),
+    ("fig4b", FEW_LEVEL_SMOKE, {"sweep_faquad.csv", "sweep_linear.csv",
+                                "prediction_faquad.csv"}),
+    ("fig5a", ["--K", "20", "--points", "5"], {"spectrum_u0_4.csv", "alpha_u0_4.csv",
+                                               "spectrum_u0_0p5.csv", "alpha_u0_0p5.csv"}),
+    ("fig5b", ["--K", "20", "--N", "1"], {"trajectory_N1.csv"}),
+    ("fig6a", RING_SMOKE + ["--N", "3", "--tf-count", "2"], {"tg_sweep.csv"}),
+    ("fig6b", RING_SMOKE + ["--N", "3", "--eps", "0"], {"epsilon.csv"}),
+])
+def test_presets_run_at_reduced_size(tmp_path, preset, flags, files):
+    out = tmp_path / preset
+    assert cli.main(["figure", preset, *flags, "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == files | {"manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == files
+    assert manifest["point_failures"] == []

@@ -104,6 +104,10 @@ def test_constructor_validation():
         model.ring(u0=-0.5)
     with pytest.raises(ValueError):
         model.ring(u0=0.5, K=0)
+    for K in (40.0, True, "40"):
+        # Only integer types: a whole-valued float would make dim a float.
+        with pytest.raises(ValueError):
+            model.ring(u0=0.5, K=K)
     with pytest.raises(ValueError):
         model.ring(u0=0.5, omega_end=3.5)
     with pytest.raises(ValueError):
