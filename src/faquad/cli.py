@@ -39,11 +39,15 @@ _MODEL_KEYS = {
     "bose-hubbard-3": {"kind", "U", "J", "lambda_start", "lambda_end"},
     "ring": {"kind", "u0", "K", "lambda_start", "lambda_end"},
 }
-_PROTOCOL_KEYS = {"kind", "pair", "grid_points", "value"}
-_SWEEP_KEYS = {"tf", "tf_min", "tf_max", "tf_count", "epsilons", "N"}
-_INTEGRATOR_KEYS = {"n_steps", "n_save"}
-_TOP_KEYS = {"model", "protocol", "sweep", "integrator", "start", "target",
-             "levels", "points", "output_dir"}
+# The keys of each config section, with the number type a key's value must
+# convert to: [type] for a list of them, None for a value checked in use.
+_PROTOCOL_KEYS = {"kind": None, "pair": [int], "grid_points": int, "value": float}
+_SWEEP_KEYS = {"tf": float, "tf_min": float, "tf_max": float, "tf_count": int,
+               "epsilons": [float], "N": [int]}
+_INTEGRATOR_KEYS = {"n_steps": int, "n_save": int}
+_TOP_KEYS = {"model": None, "protocol": None, "sweep": None, "integrator": None,
+             "start": None, "target": None, "levels": int, "points": int,
+             "output_dir": None}
 
 _PROTOCOL_ALIASES = {
     "faquad": _protocol.FAQUAD,
@@ -73,19 +77,34 @@ def _write_csv(path, header, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _converts(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(_converts(v, kind[0]) for v in value)
+    try:
+        return kind(value) is not None
+    except (TypeError, ValueError):
+        return False
+
+
 def _require_keys(section, allowed, where: str):
+    """Reject a key not in ``allowed``, and a value that does not convert to
+    the type ``allowed`` gives its key when ``allowed`` is a dict."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
-    for key in section:
+    for key, value in section.items():
         if key not in allowed:
             raise ConfigError(f"unknown key {where}.{key}")
+        kind = allowed[key] if isinstance(allowed, dict) else None
+        if kind is not None and not _converts(value, kind):
+            what = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+            raise ConfigError(f"{where}.{key} must be {what}, got {value!r}")
 
 
 def _validate_model(mdl) -> None:
     if not isinstance(mdl, dict) or "kind" not in mdl:
         raise ConfigError("config.model.kind is required")
     kind = mdl["kind"]
-    if kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ConfigError(f"unknown model kind {kind!r}")
     _require_keys(mdl, _MODEL_KEYS[kind], "config.model")
     if kind == "ring":
@@ -102,12 +121,11 @@ def _validate_config(cfg: dict):
     if "protocol" in cfg:
         _require_keys(cfg["protocol"], _PROTOCOL_KEYS, "config.protocol")
         pk = cfg["protocol"].get("kind", "faquad")
-        if pk not in _PROTOCOL_ALIASES:
-            raise ConfigError(f"unknown protocol kind {pk!r}")
-    if "sweep" in cfg:
-        _require_keys(cfg["sweep"], _SWEEP_KEYS, "config.sweep")
-    if "integrator" in cfg:
-        _require_keys(cfg["integrator"], _INTEGRATOR_KEYS, "config.integrator")
+        if not isinstance(pk, str) or pk not in _PROTOCOL_ALIASES:
+            raise ConfigError(f"unknown protocol kind {pk!r} in config.protocol.kind")
+    for section, keys in (("sweep", _SWEEP_KEYS), ("integrator", _INTEGRATOR_KEYS)):
+        if section in cfg:
+            _require_keys(cfg[section], keys, f"config.{section}")
 
 
 def _build_spec(mdl: dict) -> _model.ModelSpec:
@@ -124,7 +142,7 @@ def _build_spec(mdl: dict) -> _model.ModelSpec:
         return _model.ring(u0=float(mdl["u0"]), K=int(mdl.get("K", 40)),
                            omega_start=float(mdl.get("lambda_start", 0.0)),
                            omega_end=float(mdl.get("lambda_end", math.pi)))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
@@ -151,16 +169,14 @@ def _build_trajectory(spec, proto: dict) -> _protocol.NormalizedTrajectory:
 def _workers() -> int:
     raw = os.environ.get("FAQUAD_WORKERS", "1")
     try:
-        value = int(raw)
+        return max(1, int(raw))
     except ValueError as exc:
         raise ConfigError(f"FAQUAD_WORKERS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def _tf_grid(sweep: dict) -> np.ndarray:
     try:
-        lo = float(sweep["tf_min"])
-        hi = float(sweep["tf_max"])
+        lo, hi = float(sweep["tf_min"]), float(sweep["tf_max"])
         count = int(sweep.get("tf_count", 300))
     except KeyError as exc:
         raise ConfigError(f"config.sweep.{exc.args[0]} is required for duration sweeps") from exc
@@ -306,18 +322,15 @@ def _cmd_sweep_tf(cfg, run):
     spec = _build_spec(cfg["model"])
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
     tf_grid = _tf_grid(cfg.get("sweep", {}))
-    n_steps = _n_steps(cfg)
-    if n_steps is None:
-        n_steps = _dynamics.default_n_steps(spec, traj, float(np.max(tf_grid)))
     start = _parse_start_target(cfg.get("start", _dynamics.GROUND))
     target = _parse_start_target(cfg.get("target", 1))
     curve = _dynamics.fidelity_sweep(spec, traj, tf_grid, start=start, target=target,
-                                     n_steps=int(n_steps), workers=_workers())
+                                     n_steps=_n_steps(cfg), workers=_workers())
     if np.all(np.isnan(curve.population)):
         raise FaquadError("every sweep point failed")
 
     _write_csv(run.path("sweep.csv"), "tf,population", zip(curve.tf, curve.population))
-    run.derive("n_steps", int(n_steps))
+    run.derive("n_steps", curve.n_steps)
     run.failures({"tf": t, "error": m} for t, m in curve.failures)
     if traj.c_tilde is not None:
         pred = _perturbation.predict(traj)
@@ -342,10 +355,9 @@ def _cmd_sweep_eps(cfg, run):
 
     rows = []
     for N in ns:
-        proto = dict(cfg.get("protocol", {}))
-        proto.setdefault("pair", (N, N + 1))
-        traj = _build_trajectory(spec, proto)
-        curve = _tg.epsilon_sweep(spec, N, traj, t_f, epsilons, n_steps=_n_steps(cfg))
+        traj = _build_trajectory(spec, {"pair": (N, N + 1), **cfg.get("protocol", {})})
+        curve = _tg.epsilon_sweep(spec, N, traj, t_f, epsilons, n_steps=_n_steps(cfg),
+                                  workers=_workers())
         rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
         run.failures({"N": N, "epsilon": e, "error": m} for e, m in curve.failures)
         if traj.c_tilde is not None:
@@ -357,11 +369,8 @@ def _cmd_sweep_eps(cfg, run):
 
 
 # fig5b and fig6a have no subcommand that does their job at the same cost,
-# so they run as preset-only steps. Each designs its own schedules at the
-# level pair (N, N + 1) for every N in sweep.N.
-_TG_PROTOCOLS = ("faquad", "linear")
-
-
+# so they run as preset-only steps. Each designs its own FAQUAD schedule at
+# the level pair (N, N + 1) for every N in sweep.N.
 def _fixed_protocol(cfg):
     if "protocol" in cfg:
         raise ConfigError("config.protocol is set by the preset and cannot be given")
@@ -379,22 +388,28 @@ def _figure_ring_trajectories(cfg, run):
 
 
 def _figure_tg_duration(cfg, run):
-    """Many-body fidelity against duration for each N and each of
-    _TG_PROTOCOLS, all in one tg_sweep.csv."""
+    """Many-body fidelity against duration for each N, FAQUAD and linear,
+    all in one tg_sweep.csv. The linear ramp is the same for every N, so
+    one sweep serves all its fillings."""
     _fixed_protocol(cfg)
     spec = _build_spec(cfg["model"])
     tf_grid = _tf_grid(cfg["sweep"])
+    ns = [int(N) for N in cfg["sweep"]["N"]]
+
+    def sweep(traj, fillings):
+        return _tg.duration_sweep(spec, fillings, traj, tf_grid, n_steps=_n_steps(cfg),
+                                  workers=_workers())
+
+    linear = dict(zip(ns, sweep(_build_trajectory(spec, {"kind": "linear"}), ns)))
     rows = []
-    for N in cfg["sweep"]["N"]:
-        N = int(N)
-        for kind in _TG_PROTOCOLS:
-            traj = _build_trajectory(spec, {"kind": kind, "pair": (N, N + 1)})
-            curve = _tg.duration_sweep(spec, N, traj, tf_grid, n_steps=_n_steps(cfg))
+    for N in ns:
+        traj = _build_trajectory(spec, {"pair": (N, N + 1)})
+        (faquad,) = sweep(traj, [N])
+        run.derive(f"c_tilde_N{N}", traj.c_tilde)
+        for kind, curve in (("faquad", faquad), ("linear", linear[N])):
             rows.extend((t, f, N, kind) for t, f in zip(curve.abscissa, curve.fidelity))
             run.failures({"N": N, "protocol": kind, "tf": t, "error": m}
                          for t, m in curve.failures)
-            if traj.c_tilde is not None:
-                run.derive(f"c_tilde_N{N}", traj.c_tilde)
     _write_csv(run.path("tg_sweep.csv"), "tf,fidelity,N,protocol", rows)
 
 

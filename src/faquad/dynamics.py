@@ -88,6 +88,7 @@ class SweepCurve:
     tf: np.ndarray
     population: np.ndarray
     failures: list = field(default_factory=list)
+    n_steps: int | None = None
 
 
 def bare_state(spec: _model.ModelSpec, index: int) -> np.ndarray:
@@ -112,6 +113,18 @@ def default_n_steps(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory
     return int(max(MIN_STEPS, math.ceil(200.0 * t_f * gap_max / (2.0 * math.pi))))
 
 
+def _midpoint_controls(traj, n_steps):
+    """Control values at the step midpoints s = (k + 1/2)/n_steps."""
+    return np.asarray(traj.evaluate((np.arange(n_steps) + 0.5) / n_steps), dtype=float)
+
+
+def _midpoint_eigh(spec, lams):
+    """Yield (lo, eigvals, eigvecs) of H at lams, _CHUNK values at a time."""
+    for lo in range(0, len(lams), _CHUNK):
+        H = np.stack([_model.hamiltonian(spec, x) for x in lams[lo : lo + _CHUNK]])
+        yield (lo, *np.linalg.eigh(H))
+
+
 class MidpointTable:
     """Eigendecompositions of H at the step-midpoint control values.
 
@@ -120,17 +133,12 @@ class MidpointTable:
     """
 
     def __init__(self, spec, traj, n_steps):
-        self.spec = spec
-        self.traj = traj
         self.n_steps = int(n_steps)
-        s_mid = (np.arange(self.n_steps) + 0.5) / self.n_steps
-        self.lams = np.asarray(traj.evaluate(s_mid), dtype=float)
+        self.lams = _midpoint_controls(traj, self.n_steps)
         self.eigvals = np.empty((self.n_steps, spec.dim))
         self.eigvecs = np.empty((self.n_steps, spec.dim, spec.dim))
-        for lo in range(0, self.n_steps, _CHUNK):
-            hi = min(lo + _CHUNK, self.n_steps)
-            H = np.stack([_model.hamiltonian(spec, x) for x in self.lams[lo:hi]])
-            self.eigvals[lo:hi], self.eigvecs[lo:hi] = np.linalg.eigh(H)
+        for lo, w, v in _midpoint_eigh(spec, self.lams):
+            self.eigvals[lo : lo + len(w)], self.eigvecs[lo : lo + len(w)] = w, v
 
     @classmethod
     def fits(cls, spec, n_steps) -> bool:
@@ -152,15 +160,6 @@ def _total_propagator(table: MidpointTable, dt: float) -> np.ndarray:
     phases = np.exp(-1j * table.eigvals * dt)
     steps = np.einsum("kij,kj,klj->kil", table.eigvecs, phases, table.eigvecs)
     return _tree_product(steps)
-
-
-def _apply_steps(eigvals, eigvecs, dt, psi):
-    """Apply the step propagators of one chunk in order to psi (d, m)."""
-    phases = np.exp(-1j * eigvals * dt)
-    for i in range(eigvals.shape[0]):
-        v = eigvecs[i]
-        psi = v @ (phases[i][:, None] * (v.T @ psi))
-    return psi
 
 
 def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
@@ -196,32 +195,19 @@ def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
     dt = control.t_f / n_steps
     save_idx = np.unique(np.round(np.linspace(0, n_steps, min(n_save, n_steps + 1))).astype(int))
     saved = np.empty((len(save_idx),) + psi.shape, dtype=complex)
-    pos = 0
-    if save_idx[0] == 0:
-        saved[0] = psi
-        pos = 1
+    saved[0] = psi
+    pos = 1
 
     if table is not None:
-        s_mid = None
+        chunks = ((lo, table.eigvals[lo : lo + _CHUNK], table.eigvecs[lo : lo + _CHUNK])
+                  for lo in range(0, n_steps, _CHUNK))
     else:
-        s_mid = (np.arange(n_steps) + 0.5) / n_steps
-
-    for lo in range(0, n_steps, _CHUNK):
-        hi = min(lo + _CHUNK, n_steps)
-        if table is not None:
-            w, v = table.eigvals[lo:hi], table.eigvecs[lo:hi]
-        else:
-            lams = traj.evaluate(s_mid[lo:hi])
-            H = np.stack([_model.hamiltonian(spec, x) for x in lams])
-            w, v = np.linalg.eigh(H)
-        # split the chunk at save points
-        k = lo
-        while k < hi:
-            nxt = hi if pos >= len(save_idx) else min(hi, save_idx[pos])
-            if nxt > k:
-                psi = _apply_steps(w[k - lo : nxt - lo], v[k - lo : nxt - lo], dt, psi)
-                k = nxt
-            if pos < len(save_idx) and save_idx[pos] == k:
+        chunks = _midpoint_eigh(spec, _midpoint_controls(traj, n_steps))
+    for lo, w, v in chunks:
+        phases = np.exp(-1j * w * dt)
+        for i in range(len(w)):
+            psi = v[i] @ (phases[i][:, None] * (v[i].T @ psi))
+            if lo + i + 1 == save_idx[pos]:
                 saved[pos] = psi
                 pos += 1
 
@@ -259,6 +245,49 @@ def _population_of(spec, traj, target, psi):
     return float(np.abs(psi[int(target) - 1]) ** 2)
 
 
+def _final_states(spec, traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
+    """(n_steps, final): final(t_f) is psi0, a vector or a (dim, m) stack,
+    evolved along ``traj`` played over t_f. All durations share the step
+    count (by default the largest rule of ``pairs`` at the longest one) and
+    one midpoint table if it fits; small models take the tree product."""
+    if np.any(tf_arr <= 0):
+        raise ValueError("all durations must be positive")
+    if n_steps is None:
+        n_steps = max(default_n_steps(spec, traj, float(np.max(tf_arr)), pair=pair)
+                      for pair in pairs)
+    n_steps = int(n_steps)
+    table = MidpointTable(spec, traj, n_steps) if MidpointTable.fits(spec, n_steps) else None
+
+    def final(t_f):
+        if table is not None and spec.dim <= TREE_PRODUCT_MAX_DIM:
+            return _total_propagator(table, t_f / n_steps) @ psi0
+        control = _protocol.rescale(traj, t_f)
+        return evolve(spec, control, psi0, n_steps=n_steps, n_save=2, table=table).final_state
+
+    return n_steps, final
+
+
+def _sweep(points, run_point, workers=1, shape=()):
+    """(values, failures) of run_point at each point, on the calling thread
+    or on ``workers`` > 1 threads. values[i] is run_point(points[i]) (of
+    ``shape``), or NaN where that raised FaquadError; failures lists those
+    points' (point, message) in point order."""
+    values = np.full((len(points),) + tuple(shape), np.nan)
+
+    def attempt(i):
+        try:
+            values[i] = run_point(points[i])
+        except FaquadError as exc:
+            return float(points[i]), str(exc)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, range(len(points))))
+    else:
+        outcomes = [attempt(i) for i in range(len(points))]
+    return values, [failure for failure in outcomes if failure is not None]
+
+
 def fidelity_sweep(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory,
                    tf_list, start=GROUND, target: int | str = 1,
                    n_steps: int | None = None, workers: int = 1) -> SweepCurve:
@@ -271,46 +300,11 @@ def fidelity_sweep(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory,
     Per-point numerical failures are collected, not fatal.
     """
     tf_arr = np.asarray(list(tf_list), dtype=float)
-    if np.any(tf_arr <= 0):
-        raise ValueError("all durations must be positive")
-    if n_steps is None:
-        n_steps = default_n_steps(spec, traj, float(np.max(tf_arr)))
-    n_steps = int(n_steps)
-
     psi0 = _start_vector(spec, traj, start).astype(complex)
-    use_table = MidpointTable.fits(spec, n_steps)
-    table = MidpointTable(spec, traj, n_steps) if use_table else None
-
-    population = np.full(len(tf_arr), np.nan)
-    failures = []
-
-    def run_point(i):
-        t_f = tf_arr[i]
-        dt = t_f / n_steps
-        if table is not None and spec.dim <= TREE_PRODUCT_MAX_DIM:
-            psi = _total_propagator(table, dt) @ psi0
-        else:
-            control = _protocol.rescale(traj, t_f)
-            res = evolve(spec, control, psi0, n_steps=n_steps, n_save=2, table=table)
-            psi = res.final_state
-        return _population_of(spec, traj, target, psi)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {i: pool.submit(run_point, i) for i in range(len(tf_arr))}
-        for i, fut in futs.items():
-            try:
-                population[i] = fut.result()
-            except FaquadError as exc:
-                failures.append((float(tf_arr[i]), str(exc)))
-    else:
-        for i in range(len(tf_arr)):
-            try:
-                population[i] = run_point(i)
-            except FaquadError as exc:
-                failures.append((float(tf_arr[i]), str(exc)))
-
-    return SweepCurve(tf=tf_arr, population=population, failures=failures)
+    n_steps, final = _final_states(spec, traj, psi0, tf_arr, n_steps)
+    population, failures = _sweep(
+        tf_arr, lambda t_f: _population_of(spec, traj, target, final(t_f)), workers)
+    return SweepCurve(tf=tf_arr, population=population, failures=failures, n_steps=n_steps)
 
 
 def adiabatic_projection(spec: _model.ModelSpec, control: _protocol.TimedControl,

@@ -22,7 +22,6 @@ from . import dynamics as _dynamics
 from . import model as _model
 from . import protocol as _protocol
 from . import spectral as _spectral
-from .errors import FaquadError
 
 DEFAULT_EPSILONS = (-0.1, -0.05, 0.0, 0.05, 0.1)
 
@@ -99,37 +98,34 @@ def tg_fidelity(evolved: OrbitalStack, target: OrbitalStack) -> float:
     return float(np.abs(np.linalg.det(overlap)))
 
 
-def duration_sweep(spec: _model.ModelSpec, N: int, traj: _protocol.NormalizedTrajectory,
-                   tf_list, n_steps: int | None = None) -> ManyBodyFidelityCurve:
-    """Many-body fidelity to the final-control ground state versus t_f."""
-    _check_odd_n(spec, N)
+def duration_sweep(spec: _model.ModelSpec, Ns, traj: _protocol.NormalizedTrajectory,
+                   tf_list, n_steps: int | None = None,
+                   workers: int = 1) -> list[ManyBodyFidelityCurve]:
+    """Many-body fidelity to the final-control ground state versus t_f,
+    one curve per filling N in ``Ns``. One stack of the largest N evolves;
+    the leading N orbitals of it are the evolved stack of N."""
+    for N in Ns:
+        _check_odd_n(spec, N)
     tf_arr = np.asarray(list(tf_list), dtype=float)
-    if np.any(tf_arr <= 0):
-        raise ValueError("all durations must be positive")
-    if n_steps is None:
-        n_steps = _dynamics.default_n_steps(spec, traj, float(np.max(tf_arr)),
-                                            pair=(N, N + 1))
-    start = initial_stack(spec, N)
-    target = target_stack(spec, N)
-    table = (_dynamics.MidpointTable(spec, traj, n_steps)
-             if _dynamics.MidpointTable.fits(spec, n_steps) else None)
+    start = initial_stack(spec, max(Ns))
+    targets = [target_stack(spec, N) for N in Ns]
+    _, final = _dynamics._final_states(spec, traj, start.orbitals, tf_arr, n_steps,
+                                       pairs=[(N, N + 1) for N in Ns])
 
-    fidelity = np.full(len(tf_arr), np.nan)
-    failures = []
-    for i, t_f in enumerate(tf_arr):
-        control = _protocol.rescale(traj, float(t_f))
-        try:
-            evolved = evolve_stack(start, spec, control, n_steps=n_steps, table=table)
-            fidelity[i] = tg_fidelity(evolved, target)
-        except FaquadError as exc:
-            failures.append((float(t_f), str(exc)))
-    return ManyBodyFidelityCurve(abscissa=tf_arr, fidelity=fidelity, N=N,
-                                 protocol=traj.kind, label="tf", failures=failures)
+    def fidelities(t_f):
+        orbitals = final(t_f)
+        return [tg_fidelity(OrbitalStack(orbitals[:, : target.N], t_f), target)
+                for target in targets]
+
+    fidelity, failures = _dynamics._sweep(tf_arr, fidelities, workers, shape=(len(Ns),))
+    return [ManyBodyFidelityCurve(abscissa=tf_arr, fidelity=fidelity[:, j], N=N,
+                                  protocol=traj.kind, label="tf", failures=list(failures))
+            for j, N in enumerate(Ns)]
 
 
 def epsilon_sweep(spec: _model.ModelSpec, N: int, traj: _protocol.NormalizedTrajectory,
                   t_f: float, epsilons=DEFAULT_EPSILONS,
-                  n_steps: int | None = None) -> ManyBodyFidelityCurve:
+                  n_steps: int | None = None, workers: int = 1) -> ManyBodyFidelityCurve:
     """Fidelity under a miscalibrated drive Omega_e(t) = Omega(t) (1 + eps).
 
     The drive then ends at lambda_end * (1 + eps), away from the target
@@ -145,17 +141,11 @@ def epsilon_sweep(spec: _model.ModelSpec, N: int, traj: _protocol.NormalizedTraj
         n_steps = _dynamics.default_n_steps(spec, traj, float(t_f), pair=(N, N + 1))
     start = initial_stack(spec, N)
     target = target_stack(spec, N)
-    control_tf = float(t_f)
 
-    fidelity = np.full(len(eps_arr), np.nan)
-    failures = []
-    for i, eps in enumerate(eps_arr):
-        scaled = traj.scaled(1.0 + float(eps))
-        control = _protocol.rescale(scaled, control_tf)
-        try:
-            evolved = evolve_stack(start, spec, control, n_steps=n_steps)
-            fidelity[i] = tg_fidelity(evolved, target)
-        except FaquadError as exc:
-            failures.append((float(eps), str(exc)))
+    def fidelity_at(eps):
+        control = _protocol.rescale(traj.scaled(1.0 + float(eps)), float(t_f))
+        return tg_fidelity(evolve_stack(start, spec, control, n_steps=n_steps), target)
+
+    fidelity, failures = _dynamics._sweep(eps_arr, fidelity_at, workers)
     return ManyBodyFidelityCurve(abscissa=eps_arr, fidelity=fidelity, N=N,
                                  protocol=traj.kind, label="epsilon", failures=failures)

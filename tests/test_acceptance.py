@@ -226,14 +226,13 @@ def test_criterion_06_ring_spectrum_against_roots():
 
 def test_criterion_07_many_body_faquad_insensitive_to_filling(
         ring_spec, ring_faquad_n3, ring_faquad_n9, ring_linear):
-    f3 = tg.duration_sweep(ring_spec, 3, ring_faquad_n3, [RING_TF_PLATEAU],
-                           n_steps=RING_N_STEPS).fidelity[0]
-    f9 = tg.duration_sweep(ring_spec, 9, ring_faquad_n9, [RING_TF_PLATEAU],
-                           n_steps=RING_N_STEPS).fidelity[0]
-    l3 = tg.duration_sweep(ring_spec, 3, ring_linear, [RING_TF_PLATEAU],
-                           n_steps=RING_N_STEPS).fidelity[0]
-    l9 = tg.duration_sweep(ring_spec, 9, ring_linear, [RING_TF_PLATEAU],
-                           n_steps=RING_N_STEPS).fidelity[0]
+    def plateau(Ns, traj):
+        curves = tg.duration_sweep(ring_spec, Ns, traj, [RING_TF_PLATEAU], n_steps=RING_N_STEPS)
+        return [curve.fidelity[0] for curve in curves]
+
+    (f3,) = plateau([3], ring_faquad_n3)
+    (f9,) = plateau([9], ring_faquad_n9)
+    l3, l9 = plateau([3, 9], ring_linear)
     ok = abs(f3 - f9) < 0.02 and l9 < l3
     _report(7, ok, f"F_faquad(3)={f3:.5f}, F_faquad(9)={f9:.5f}, "
                    f"|diff|={abs(f3 - f9):.5f} (< 0.02); "

@@ -192,16 +192,40 @@ def test_spectrum_outputs_ring_oracle_files(tmp_path):
         assert float(r[3]) == pytest.approx(float(r[2]) ** 2, rel=1e-9)
 
 
-def test_workers_env_does_not_change_results(tmp_path, monkeypatch):
-    args = ["sweep-tf", *TWO_LEVEL_FLAGS, "--protocol", "faquad",
-            "--tf-min", "0.5", "--tf-max", "1.5", "--tf-count", "5",
-            "--n-steps", "2048"]
+@pytest.mark.parametrize("args,csv", [
+    pytest.param(["sweep-tf", *TWO_LEVEL_FLAGS, "--protocol", "faquad", "--tf-min", "0.5",
+                  "--tf-max", "1.5", "--tf-count", "5", "--n-steps", "2048"],
+                 "sweep.csv", id="sweep-tf"),
+    pytest.param(["sweep-eps", "--model", "ring", "--u0", "0.5", "--K", "20", "--tf", "10",
+                  "--N", "3", "--eps", "-0.05", "--eps", "0", "--eps", "0.05",
+                  "--n-steps", "400"],
+                 "epsilon.csv", id="sweep-eps"),
+    pytest.param(["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "3"],
+                 "tg_sweep.csv", id="fig6a"),
+])
+def test_workers_env_does_not_change_results(tmp_path, monkeypatch, args, csv):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.delenv("FAQUAD_WORKERS", raising=False)
     assert cli.main(args + ["--out", str(a)]) == 0
     monkeypatch.setenv("FAQUAD_WORKERS", "2")
     assert cli.main(args + ["--out", str(b)]) == 0
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    assert (a / csv).read_bytes() == (b / csv).read_bytes()
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("sweep-tf", "sweep", "tf_count", "x"),
+    ("sweep-tf", "protocol", "kind", ["faquad"]),
+    ("sweep-tf", "protocol", "pair", 3),
+    ("sweep-eps", "sweep", "N", ["x"]),
+])
+def test_wrong_typed_config_value_is_rejected(tmp_path, capsys, command, section, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    model = (["--model", "ring", "--u0", "0.5", "--K", "20", "--tf", "10"]
+             if command == "sweep-eps" else TWO_LEVEL_FLAGS + ["--tf-min", "0.5", "--tf-max", "1"])
+    assert cli.main([command, *model, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config.{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_constant_protocol_requires_value(tmp_path):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from faquad import dynamics, model, perturbation, protocol, spectral
+from faquad import dynamics, model, perturbation, protocol, spectral, tg
+from faquad.errors import FaquadError
 
 PI_PULSE_TIME = math.pi / (2.0 * math.sqrt(2.0))
 
@@ -185,6 +186,55 @@ def test_sweep_ground_target(two_level_spec, two_level_faquad):
 def test_sweep_rejects_bad_durations(two_level_spec, two_level_faquad):
     with pytest.raises(ValueError):
         dynamics.fidelity_sweep(two_level_spec, two_level_faquad, [1.0, -2.0])
+
+
+def _two_level_sweep(spec, traj, points):
+    curve = dynamics.fidelity_sweep(spec, traj, points, n_steps=2048)
+    return curve.population, curve.failures
+
+
+def _ring_duration_sweep(spec, traj, points):
+    curves = tg.duration_sweep(spec, [1, 3], traj, points, n_steps=400)
+    assert curves[0].failures == curves[1].failures
+    return np.stack([c.fidelity for c in curves], axis=1), curves[0].failures
+
+
+def _ring_epsilon_sweep(spec, traj, points):
+    curve = tg.epsilon_sweep(spec, 3, traj, 5.0, epsilons=points, n_steps=400)
+    return curve.fidelity, curve.failures
+
+
+@pytest.mark.parametrize("sweep,ring,patched,points", [
+    (_two_level_sweep, False, "_total_propagator", [0.5, 1.0, 1.5]),
+    (_ring_duration_sweep, True, "evolve", [2.0, 4.0, 6.0]),
+    (_ring_epsilon_sweep, True, "evolve", [-0.05, 0.0, 0.05]),
+])
+def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_spec, two_level_faquad,
+                                             sweep, ring, patched, points):
+    # Every sweep runs its points through one loop: a FaquadError at one
+    # point leaves NaN there, is listed with its point, and spares the rest.
+    if ring:
+        spec = model.ring(u0=0.5, K=12)
+        args = (spec, protocol.linear_ramp(spec), points)
+    else:
+        args = (two_level_spec, two_level_faquad, points)
+    clean, no_failures = sweep(*args)
+    assert no_failures == [] and not np.any(np.isnan(clean))
+
+    original = getattr(dynamics, patched)
+    calls = []
+
+    def second_call_fails(*a, **kw):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FaquadError("injected")
+        return original(*a, **kw)
+
+    monkeypatch.setattr(dynamics, patched, second_call_fails)
+    values, failures = sweep(*args)
+    assert np.all(np.isnan(values[1]))
+    assert failures == [(points[1], "injected")]
+    assert np.array_equal(values[[0, 2]], clean[[0, 2]])
 
 
 def test_midpoint_table_reuse(two_level_spec, two_level_faquad):

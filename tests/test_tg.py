@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from faquad import dynamics, model, protocol, tg
+from faquad import cli, dynamics, model, protocol, tg
 
 
 def _free_ring(K=6):
@@ -104,7 +104,7 @@ def test_gram_preserved_under_evolution(ring_spec, ring_faquad_n3):
 def test_single_particle_limit_matches_fidelity_sweep(ring_spec):
     traj = protocol.design_faquad(ring_spec, pair=(1, 2))
     tf_list = [30.0, 60.0]
-    many = tg.duration_sweep(ring_spec, 1, traj, tf_list, n_steps=2000)
+    (many,) = tg.duration_sweep(ring_spec, [1], traj, tf_list, n_steps=2000)
     single = dynamics.fidelity_sweep(ring_spec, traj, tf_list, start="ground",
                                      target="ground", n_steps=2000)
     assert np.max(np.abs(many.fidelity - np.sqrt(single.population))) < 1e-10
@@ -125,12 +125,38 @@ def test_epsilon_sweep_reference_points(ring_spec, ring_faquad_n3):
 
 
 def test_duration_sweep_metadata(ring_spec, ring_faquad_n3):
-    curve = tg.duration_sweep(ring_spec, 3, ring_faquad_n3, [20.0], n_steps=2000)
+    (curve,) = tg.duration_sweep(ring_spec, [3], ring_faquad_n3, [20.0], n_steps=2000)
     assert curve.N == 3
     assert curve.protocol == protocol.FAQUAD
     assert curve.label == "tf"
     assert curve.failures == []
     assert 0.0 <= curve.fidelity[0] <= 1.0 + 1e-12
+
+
+def test_duration_sweep_scores_each_filling_on_one_stack(ring_spec, ring_faquad_n3):
+    # The leading three orbitals of the evolved N = 9 stack are the evolved
+    # N = 3 stack, so the N = 3 curve of a (3, 9) sweep is the (3,) sweep's.
+    tf_list = [30.0, 90.0]
+    three, nine = tg.duration_sweep(ring_spec, (3, 9), ring_faquad_n3, tf_list, n_steps=600)
+    (alone,) = tg.duration_sweep(ring_spec, (3,), ring_faquad_n3, tf_list, n_steps=600)
+    assert (three.N, nine.N) == (3, 9)
+    assert np.array_equal(three.fidelity, alone.fidelity)
+    assert not np.array_equal(nine.fidelity, alone.fidelity)
+
+
+def test_fig6a_builds_one_table_per_trajectory(tmp_path, monkeypatch):
+    # The linear ramp serves both fillings; each FAQUAD design has its own.
+    built = []
+    init = dynamics.MidpointTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1].kind)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.MidpointTable, "__init__", counting_init)
+    assert cli.main(["figure", "fig6a", "--K", "20", "--n-steps", "400",
+                     "--tf-count", "3", "--out", str(tmp_path / "o")]) == 0
+    assert sorted(built) == [protocol.FAQUAD, protocol.FAQUAD, protocol.LINEAR]
 
 
 def test_target_stack_is_final_control_ground_block(ring_spec):
