@@ -5,10 +5,10 @@ figure <preset> for the eight built-in experiment presets. A preset is a
 shared config plus a list of steps, most of them subcommands, run into
 one output directory. A JSON config file provides any subset of the
 options; command-line flags override file values, which override preset
-values. Unknown config keys, and keys that a preset's steps set, are
-rejected. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure. The environment variable FAQUAD_WORKERS caps the number of
-concurrent sweep workers (default 1).
+values. Unknown config keys, keys that a preset's steps set and keys
+that no step of the run reads are rejected. Exit codes: 0 success, 2
+configuration error, 3 numerical failure. The environment variable
+FAQUAD_WORKERS caps the number of concurrent sweep workers (default 1).
 
 All CSV numbers are written with ``%.12g`` so that re-running an
 identical configuration reproduces byte-identical files.
@@ -123,6 +123,9 @@ def _validate_config(cfg: dict):
         pk = cfg["protocol"].get("kind", "faquad")
         if not isinstance(pk, str) or pk not in _PROTOCOL_ALIASES:
             raise ConfigError(f"unknown protocol kind {pk!r} in config.protocol.kind")
+        pair = cfg["protocol"].get("pair", (1, 2))
+        if len(pair) != 2:
+            raise ConfigError(f"config.protocol.pair must be two integers, got {pair!r}")
     for section, keys in (("sweep", _SWEEP_KEYS), ("integrator", _INTEGRATOR_KEYS)):
         if section in cfg:
             _require_keys(cfg[section], keys, f"config.{section}")
@@ -146,24 +149,32 @@ def _build_spec(mdl: dict) -> _model.ModelSpec:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
-def _build_trajectory(spec, proto: dict) -> _protocol.NormalizedTrajectory:
+def _build_trajectories(spec, proto: dict, pairs) -> list:
+    """The trajectory of ``proto`` at each level pair in ``pairs``, which a
+    pair given in ``proto`` overrides. The designed kinds diagonalise their
+    grid once for every pair, and that track is dropped on return."""
     kind = _PROTOCOL_ALIASES[proto.get("kind", "faquad")]
-    pair = tuple(proto.get("pair", (1, 2)))
-    grid_points = int(proto.get("grid_points", _protocol.DEFAULT_GRID_POINTS))
+    pairs = [tuple(proto.get("pair", pair)) for pair in pairs]
+    designers = {_protocol.FAQUAD: _protocol.design_faquad,
+                 _protocol.LOCAL_ADIABATIC: _protocol.design_local_adiabatic,
+                 _protocol.UNIFORM_ADIABATIC: _protocol.design_uniform_adiabatic}
     try:
-        if kind == _protocol.FAQUAD:
-            return _protocol.design_faquad(spec, pair=pair, grid_points=grid_points)
-        if kind == _protocol.LOCAL_ADIABATIC:
-            return _protocol.design_local_adiabatic(spec, pair=pair, grid_points=grid_points)
-        if kind == _protocol.UNIFORM_ADIABATIC:
-            return _protocol.design_uniform_adiabatic(spec, pair=pair, grid_points=grid_points)
+        if kind in designers:
+            grid_points = int(proto.get("grid_points", _protocol.DEFAULT_GRID_POINTS))
+            track = _protocol.design_track(spec, pairs, grid_points=grid_points)
+            return [designers[kind](spec, pair=pair, track=track) for pair in pairs]
         if kind == _protocol.LINEAR:
-            return _protocol.linear_ramp(spec)
+            return [_protocol.linear_ramp(spec)] * len(pairs)
         if "value" not in proto:
             raise ConfigError("constant protocol requires protocol.value")
-        return _protocol.constant_protocol(spec, float(proto["value"]))
+        return [_protocol.constant_protocol(spec, float(proto["value"]))] * len(pairs)
     except ValueError as exc:
         raise ConfigError(f"invalid protocol parameters: {exc}") from exc
+
+
+def _build_trajectory(spec, proto: dict) -> _protocol.NormalizedTrajectory:
+    (traj,) = _build_trajectories(spec, proto, [(1, 2)])
+    return traj
 
 
 def _workers() -> int:
@@ -271,9 +282,7 @@ def _cmd_spectrum(cfg, run):
     levels = int(cfg.get("levels", 5))
     points = int(cfg.get("points", 161))
     grid = np.linspace(spec.lambda_start, spec.lambda_end, points)
-    energies = np.linalg.eigvalsh(
-        np.stack([_model.hamiltonian(spec, x) for x in grid])
-    )[:, :levels]
+    energies = np.linalg.eigvalsh(_model.hamiltonian(spec, grid))[:, :levels]
     rows = [(lam, n + 1, energies[i, n]) for i, lam in enumerate(grid) for n in range(levels)]
     _write_csv(run.path("spectrum.csv"), "lambda,n,energy", rows)
     if spec.kind == _model.RING:
@@ -353,9 +362,9 @@ def _cmd_sweep_eps(cfg, run):
     ns = [int(n) for n in sweep.get("N", (3, 9))]
     epsilons = [float(e) for e in sweep.get("epsilons", _tg.DEFAULT_EPSILONS)]
 
+    trajs = _build_trajectories(spec, cfg.get("protocol", {}), [(N, N + 1) for N in ns])
     rows = []
-    for N in ns:
-        traj = _build_trajectory(spec, {"pair": (N, N + 1), **cfg.get("protocol", {})})
+    for N, traj in zip(ns, trajs):
         curve = _tg.epsilon_sweep(spec, N, traj, t_f, epsilons, n_steps=_n_steps(cfg),
                                   workers=_workers())
         rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
@@ -370,19 +379,16 @@ def _cmd_sweep_eps(cfg, run):
 
 # fig5b and fig6a have no subcommand that does their job at the same cost,
 # so they run as preset-only steps. Each designs its own FAQUAD schedule at
-# the level pair (N, N + 1) for every N in sweep.N.
-def _fixed_protocol(cfg):
-    if "protocol" in cfg:
-        raise ConfigError("config.protocol is set by the preset and cannot be given")
+# the level pair (N, N + 1) for every N in sweep.N, all from one track.
+def _ring_designs(spec, ns):
+    return _build_trajectories(spec, {}, [(N, N + 1) for N in ns])
 
 
 def _figure_ring_trajectories(cfg, run):
     """The FAQUAD schedule of each N, one trajectory_N<N>.csv apiece."""
-    _fixed_protocol(cfg)
     spec = _build_spec(cfg["model"])
-    for N in cfg["sweep"]["N"]:
-        N = int(N)
-        traj = _build_trajectory(spec, {"pair": (N, N + 1)})
+    ns = [int(N) for N in cfg["sweep"]["N"]]
+    for N, traj in zip(ns, _ring_designs(spec, ns)):
         _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", _trajectory_rows(traj))
         run.derive(f"c_tilde_N{N}", traj.c_tilde)
 
@@ -391,10 +397,10 @@ def _figure_tg_duration(cfg, run):
     """Many-body fidelity against duration for each N, FAQUAD and linear,
     all in one tg_sweep.csv. The linear ramp is the same for every N, so
     one sweep serves all its fillings."""
-    _fixed_protocol(cfg)
     spec = _build_spec(cfg["model"])
     tf_grid = _tf_grid(cfg["sweep"])
     ns = [int(N) for N in cfg["sweep"]["N"]]
+    designs = _ring_designs(spec, ns)
 
     def sweep(traj, fillings):
         return _tg.duration_sweep(spec, fillings, traj, tf_grid, n_steps=_n_steps(cfg),
@@ -402,8 +408,7 @@ def _figure_tg_duration(cfg, run):
 
     linear = dict(zip(ns, sweep(_build_trajectory(spec, {"kind": "linear"}), ns)))
     rows = []
-    for N in ns:
-        traj = _build_trajectory(spec, {"pair": (N, N + 1)})
+    for N, traj in zip(ns, designs):
         (faquad,) = sweep(traj, [N])
         run.derive(f"c_tilde_N{N}", traj.c_tilde)
         for kind, curve in (("faquad", faquad), ("linear", linear[N])):
@@ -422,6 +427,22 @@ _COMMANDS = {
 }
 _STEPS = dict(_COMMANDS, **{"ring-trajectories": _figure_ring_trajectories,
                             "tg-duration": _figure_tg_duration})
+
+# The config keys each step reads besides the model section, as
+# "section.key" or a top-level key. A run rejects a key none of its steps reads.
+_SECTIONS = ("protocol", "sweep", "integrator")
+_READS_PROTOCOL = {f"protocol.{key}" for key in _PROTOCOL_KEYS}
+_READS = {
+    "design": _READS_PROTOCOL,
+    "spectrum": {"levels", "points"},
+    "evolve": _READS_PROTOCOL | {"sweep.tf", "integrator.n_steps", "integrator.n_save", "start"},
+    "sweep-tf": _READS_PROTOCOL | {"sweep.tf_min", "sweep.tf_max", "sweep.tf_count",
+                                   "integrator.n_steps", "start", "target"},
+    "sweep-eps": _READS_PROTOCOL | {"sweep.tf", "sweep.N", "sweep.epsilons", "integrator.n_steps"},
+    "ring-trajectories": {"sweep.N"},
+    "tg-duration": {"sweep.tf_min", "sweep.tf_max", "sweep.tf_count", "sweep.N",
+                    "integrator.n_steps"},
+}
 
 
 def builtin_figures() -> dict:
@@ -522,11 +543,23 @@ def _step_config(cfg: dict, overrides: dict) -> dict:
     return step_cfg
 
 
+def _reject_unread_keys(cfg: dict, command: str, names) -> None:
+    """Reject a key of ``cfg`` that none of the steps ``names`` reads."""
+    read = set().union(*(_READS[name] for name in names))
+    for section, values in cfg.items():
+        if section == "model":
+            continue
+        for key in ([f"{section}.{k}" for k in values] if section in _SECTIONS else [section]):
+            if key not in read:
+                raise ConfigError(f"config.{key} is not read by {command}")
+
+
 def run_steps(command: str, cfg: dict, steps, out_dir: str) -> int:
     """Run ``steps`` (see ``builtin_figures``) on ``cfg`` into ``out_dir``,
     with one manifest for them all. A subcommand is a single untagged step."""
     _validate_config(cfg)
     configs = [(name, _step_config(cfg, overrides), tag) for name, overrides, tag in steps]
+    _reject_unread_keys(cfg, command, [name for name, _, _ in steps])
     run = _Run(out_dir, command, cfg)
     run.manifest["steps"] = steps
     for name, step_cfg, tag in configs:

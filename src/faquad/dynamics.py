@@ -108,7 +108,7 @@ def default_n_steps(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory
     if pair is None:
         pair = traj.pair if traj.pair is not None else (1, 2)
     lams = np.unique(traj.evaluate(np.linspace(0.0, 1.0, probe_points)))
-    energies = np.linalg.eigvalsh(np.stack([_model.hamiltonian(spec, x) for x in lams]))
+    energies = np.linalg.eigvalsh(_model.hamiltonian(spec, lams))
     gap_max = float(np.max(energies[:, pair[1] - 1] - energies[:, pair[0] - 1]))
     return int(max(MIN_STEPS, math.ceil(200.0 * t_f * gap_max / (2.0 * math.pi))))
 
@@ -121,8 +121,7 @@ def _midpoint_controls(traj, n_steps):
 def _midpoint_eigh(spec, lams):
     """Yield (lo, eigvals, eigvecs) of H at lams, _CHUNK values at a time."""
     for lo in range(0, len(lams), _CHUNK):
-        H = np.stack([_model.hamiltonian(spec, x) for x in lams[lo : lo + _CHUNK]])
-        yield (lo, *np.linalg.eigh(H))
+        yield (lo, *np.linalg.eigh(_model.hamiltonian(spec, lams[lo : lo + _CHUNK])))
 
 
 class MidpointTable:
@@ -183,9 +182,9 @@ def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
     if table is not None and table.n_steps != n_steps:
         raise ValueError("table was built for a different n_steps")
 
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.asarray(psi0)
     single = psi0.ndim == 1
-    psi = psi0[:, None].copy() if single else psi0.copy()
+    psi = np.array(psi0[:, None] if single else psi0, dtype=complex, order="C")
     if psi.shape[0] != spec.dim:
         raise ValueError(f"state dimension {psi.shape[0]} does not match model dim {spec.dim}")
     norms = np.linalg.norm(psi, axis=0)
@@ -203,10 +202,17 @@ def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
                   for lo in range(0, n_steps, _CHUNK))
     else:
         chunks = _midpoint_eigh(spec, _midpoint_controls(traj, n_steps))
+    # psi and work are C-contiguous (dim, m) complex arrays, so their
+    # float64 views are (dim, 2m) with each real part beside its imaginary
+    # part, and a step is two real matrix products with the eigenvectors.
+    work = np.empty_like(psi)
+    psi_re, work_re = psi.view(np.float64), work.view(np.float64)
     for lo, w, v in chunks:
-        phases = np.exp(-1j * w * dt)
+        phases = np.exp(-1j * w * dt)[:, :, None]
         for i in range(len(w)):
-            psi = v[i] @ (phases[i][:, None] * (v[i].T @ psi))
+            np.matmul(v[i].T, psi_re, out=work_re)
+            work *= phases[i]
+            np.matmul(v[i], work_re, out=psi_re)
             if lo + i + 1 == save_idx[pos]:
                 saved[pos] = psi
                 pos += 1
@@ -320,8 +326,7 @@ def adiabatic_projection(spec: _model.ModelSpec, control: _protocol.TimedControl
         raise ValueError("projection is defined for single-state evolutions")
     times = result.times
     lams = control.value(times)
-    H = np.stack([_model.hamiltonian(spec, x) for x in lams])
-    energies, vectors = np.linalg.eigh(H)
+    energies, vectors = np.linalg.eigh(_model.hamiltonian(spec, lams))
     vectors[0] = _spectral.gauge_fix_columns(vectors[0])
     for k in range(1, len(times)):
         vectors[k] = _spectral.sign_fix(vectors[k], vectors[k - 1])

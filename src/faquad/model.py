@@ -136,8 +136,19 @@ def ring(u0: float, K: int = 40, omega_start: float = 0.0, omega_end: float = ma
     return ModelSpec(RING, RingParams(u0=u0, K=K), omega_start, omega_end)
 
 
-def hamiltonian(spec: ModelSpec, lam: float) -> np.ndarray:
-    """Hamiltonian matrix at control value ``lam``.
+def _controls(lam) -> np.ndarray:
+    """A control value, or a 1-d array of them, as a float array."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1:
+        raise ValueError("controls must be a scalar or a 1-d array")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("control value must be finite")
+    return lam
+
+
+def hamiltonian(spec: ModelSpec, lam) -> np.ndarray:
+    """Hamiltonian matrix at control value ``lam``, or the (n, dim, dim)
+    stack of them when ``lam`` is a 1-d array of n controls.
 
     Two-level (J units, hbar = 1)::
 
@@ -154,25 +165,22 @@ def hamiltonian(spec: ModelSpec, lam: float) -> np.ndarray:
     ``ring_barrier``, which does not depend on Omega. The levels converge
     to the transcendental roots like K^-3.
     """
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValueError("control value must be finite")
+    lam = _controls(lam)
     p = spec.params
+    diag = np.arange(spec.dim)
+    if spec.kind == RING:
+        k = np.arange(-p.K, p.K + 1, dtype=float)
+        H = np.broadcast_to(ring_barrier(p), lam.shape + (spec.dim, spec.dim)).copy()
+        H[..., diag, diag] += (k - lam[..., None] / (2.0 * math.pi)) ** 2
+        return H
+    h = -SQRT2 * p.J
+    H = np.zeros(lam.shape + (spec.dim, spec.dim))
+    H[..., diag[1:], diag[:-1]] = H[..., diag[:-1], diag[1:]] = h  # nearest-neighbour hopping
     if spec.kind == TWO_LEVEL:
-        h = -SQRT2 * p.J
-        return np.array([[0.0, h], [h, p.U - lam]])
-    if spec.kind == BOSE_HUBBARD3:
-        h = -SQRT2 * p.J
-        return np.array(
-            [
-                [p.U + lam, h, 0.0],
-                [h, 0.0, h],
-                [0.0, h, p.U - lam],
-            ]
-        )
-    k = np.arange(-p.K, p.K + 1, dtype=float)
-    H = ring_barrier(p).copy()
-    H[np.diag_indices_from(H)] += (k - lam / (2.0 * math.pi)) ** 2
+        H[..., 1, 1] = p.U - lam
+    else:
+        H[..., 0, 0] = p.U + lam
+        H[..., 2, 2] = p.U - lam
     return H
 
 
@@ -215,18 +223,22 @@ def ring_barrier(params: RingParams) -> np.ndarray:
     return barrier
 
 
-def d_hamiltonian_d_lambda(spec: ModelSpec, lam: float) -> np.ndarray:
-    """Analytic derivative of ``hamiltonian`` with respect to the control."""
-    lam = float(lam)
-    if not np.isfinite(lam):
-        raise ValueError("control value must be finite")
+def d_hamiltonian_d_lambda(spec: ModelSpec, lam) -> np.ndarray:
+    """Analytic derivative of ``hamiltonian`` with respect to the control,
+    stacked like ``hamiltonian`` for a 1-d array of controls. It is
+    diagonal for every built-in model."""
+    lam = _controls(lam)
     if spec.kind == TWO_LEVEL:
-        return np.diag([0.0, -1.0])
-    if spec.kind == BOSE_HUBBARD3:
-        return np.diag([1.0, 0.0, -1.0])
-    p = spec.params
-    k = np.arange(-p.K, p.K + 1, dtype=float)
-    return np.diag(-(k - lam / (2.0 * math.pi)) / math.pi)
+        values = [0.0, -1.0]
+    elif spec.kind == BOSE_HUBBARD3:
+        values = [1.0, 0.0, -1.0]
+    else:
+        k = np.arange(-spec.params.K, spec.params.K + 1, dtype=float)
+        values = -(k - lam[..., None] / (2.0 * math.pi)) / math.pi
+    dH = np.zeros(lam.shape + (spec.dim, spec.dim))
+    diag = np.arange(spec.dim)
+    dH[..., diag, diag] = values
+    return dH
 
 
 def _cot(x: float) -> float:

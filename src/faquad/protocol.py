@@ -145,10 +145,29 @@ class TimedControl:
         return None if ct is None else ct / self.t_f
 
 
-def _design_grid(spec: _model.ModelSpec, grid, grid_points: int) -> np.ndarray:
+def design_track(spec: _model.ModelSpec, pairs, grid=None,
+                 grid_points: int = DEFAULT_GRID_POINTS) -> _spectral.FrameTrack:
+    """The FrameTrack that the designers read: ``spec`` diagonalised along
+    ``grid`` (by default ``grid_points`` evenly spaced controls from
+    lambda_start to lambda_end), with the couplings of every level pair in
+    ``pairs``. One track serves a design of each of those pairs."""
+    if grid is None:
+        grid = np.linspace(spec.lambda_start, spec.lambda_end, grid_points)
+    return _spectral.track_frames(spec, grid, pairs=pairs)
+
+
+def _pair_track(spec, pair, grid, grid_points, track) -> _spectral.FrameTrack:
+    """``track`` checked against ``spec`` and ``pair``, or a new track of
+    ``pair`` on the design grid when it is None."""
+    if track is None:
+        return design_track(spec, [pair], grid, grid_points)
     if grid is not None:
-        return np.asarray(grid, dtype=float)
-    return np.linspace(spec.lambda_start, spec.lambda_end, grid_points)
+        raise ValueError("give either a design grid or a track, not both")
+    if track.spec != spec:
+        raise ValueError("the track belongs to a different model")
+    if _spectral._canonical_pair(pair, spec.dim) not in track.pairs:
+        raise ValueError(f"the track holds no coupling of level pair {tuple(pair)}")
+    return track
 
 
 def _design_from_weight(spec, grid, weight, kind, pair, c_tilde_sign=1.0) -> NormalizedTrajectory:
@@ -179,27 +198,27 @@ def _design_from_weight(spec, grid, weight, kind, pair, c_tilde_sign=1.0) -> Nor
 
 
 def design_faquad(spec: _model.ModelSpec, pair=(1, 2), grid=None,
-                  grid_points: int = DEFAULT_GRID_POINTS) -> NormalizedTrajectory:
+                  grid_points: int = DEFAULT_GRID_POINTS,
+                  track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Fast quasi-adiabatic schedule for a tracked level pair.
 
     The control moves fast where the pair coupling is weak and slows
     through avoided crossings. ``c_tilde`` comes out positive because the
     weight |coupling/gap| is integrated over arc length.
     """
-    grid = _design_grid(spec, grid, grid_points)
-    track = _spectral.track_frames(spec, grid, pairs=(pair,))
+    track = _pair_track(spec, pair, grid, grid_points, track)
     weight = np.abs(track.coupling(pair) / track.gap(pair))
-    return _design_from_weight(spec, grid, weight, FAQUAD, pair)
+    return _design_from_weight(spec, track.grid, weight, FAQUAD, pair)
 
 
 def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2), grid=None,
-                           grid_points: int = DEFAULT_GRID_POINTS) -> NormalizedTrajectory:
+                           grid_points: int = DEFAULT_GRID_POINTS,
+                           track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Local-adiabatic competitor: drive speed proportional to gap^2,
     i.e. the same construction as FAQUAD without the coupling factor."""
-    grid = _design_grid(spec, grid, grid_points)
-    track = _spectral.track_frames(spec, grid, pairs=(pair,))
+    track = _pair_track(spec, pair, grid, grid_points, track)
     weight = 1.0 / track.gap(pair) ** 2
-    return _design_from_weight(spec, grid, weight, LOCAL_ADIABATIC, pair)
+    return _design_from_weight(spec, track.grid, weight, LOCAL_ADIABATIC, pair)
 
 
 def _ua_weight(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -218,16 +237,16 @@ def _ua_weight(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2), grid=None,
-                             grid_points: int = DEFAULT_GRID_POINTS) -> NormalizedTrajectory:
+                             grid_points: int = DEFAULT_GRID_POINTS,
+                             track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Uniform-adiabatic competitor: drive speed gap^2 / |gap'|.
 
     The weight stays integrable through a gap minimum, where the
     resulting schedule shows its characteristic kink.
     """
-    grid = _design_grid(spec, grid, grid_points)
-    track = _spectral.track_frames(spec, grid, pairs=(pair,))
-    weight = _ua_weight(track.gap(pair), grid)
-    return _design_from_weight(spec, grid, weight, UNIFORM_ADIABATIC, pair)
+    track = _pair_track(spec, pair, grid, grid_points, track)
+    weight = _ua_weight(track.gap(pair), track.grid)
+    return _design_from_weight(spec, track.grid, weight, UNIFORM_ADIABATIC, pair)
 
 
 def linear_ramp(spec: _model.ModelSpec, knots: int = 201) -> NormalizedTrajectory:

@@ -56,6 +56,8 @@ class FrameTrack:
 
 
 def _canonical_pair(pair, dim):
+    if len(pair) != 2:
+        raise ValueError(f"a level pair holds two levels, got {tuple(pair)}")
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise ValueError("level pair must contain two distinct levels")
@@ -109,7 +111,8 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     grid:
         Strictly monotone control samples.
     pairs:
-        1-based level pairs whose couplings are wanted.
+        1-based level pairs whose couplings are wanted; a pair given
+        twice, in either order, is tracked once.
 
     Raises
     ------
@@ -124,10 +127,9 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("grid must be strictly monotone")
 
-    pairs = tuple(_canonical_pair(p, spec.dim) for p in pairs)
+    pairs = tuple(dict.fromkeys(_canonical_pair(p, spec.dim) for p in pairs))
     n = len(grid)
-    H = np.stack([_model.hamiltonian(spec, lam) for lam in grid])
-    energies, vectors = np.linalg.eigh(H)
+    energies, vectors = np.linalg.eigh(_model.hamiltonian(spec, grid))
 
     vectors[0] = gauge_fix_columns(vectors[0])
     for k in range(1, n):
@@ -135,10 +137,11 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
 
     # All built-in models have diagonal control derivatives, which keeps
     # the coupling numerator an O(dim) contraction per grid point.
-    probe = _model.d_hamiltonian_d_lambda(spec, grid[0])
-    if np.max(np.abs(probe - np.diag(np.diag(probe)))) != 0.0:
+    dH = _model.d_hamiltonian_d_lambda(spec, grid)
+    dh = np.diagonal(dH, axis1=1, axis2=2).copy()
+    if np.count_nonzero(dH) != np.count_nonzero(dh):
         raise NotImplementedError("non-diagonal control derivatives are not supported")
-    dh = np.stack([np.diag(_model.d_hamiltonian_d_lambda(spec, lam)) for lam in grid])
+    del dH
 
     couplings = {}
     spread = np.maximum(energies[:, -1] - energies[:, 0], 1.0)

@@ -217,15 +217,52 @@ def test_workers_env_does_not_change_results(tmp_path, monkeypatch, args, csv):
     ("sweep-tf", "protocol", "kind", ["faquad"]),
     ("sweep-tf", "protocol", "pair", 3),
     ("sweep-eps", "sweep", "N", ["x"]),
+    ("design", "protocol", "pair", [3]),
 ])
 def test_wrong_typed_config_value_is_rejected(tmp_path, capsys, command, section, key, value):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({section: {key: value}}))
-    model = (["--model", "ring", "--u0", "0.5", "--K", "20", "--tf", "10"]
-             if command == "sweep-eps" else TWO_LEVEL_FLAGS + ["--tf-min", "0.5", "--tf-max", "1"])
+    model = {"sweep-eps": ["--model", "ring", "--u0", "0.5", "--K", "20", "--tf", "10"],
+             "sweep-tf": TWO_LEVEL_FLAGS + ["--tf-min", "0.5", "--tf-max", "1"],
+             "design": TWO_LEVEL_FLAGS}[command]
     assert cli.main([command, *model, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config.{section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,key", [
+    (["figure", "fig1b", "--points", "7", "--tf-count", "3"], "config.points"),
+    (["figure", "fig1b", "--eps", "3", "--tf-count", "3"], "config.sweep.epsilons"),
+    (["figure", "fig6b", "--tf-min", "1"], "config.sweep.tf_min"),
+    (["figure", "fig5b", "--n-steps", "400"], "config.integrator.n_steps"),
+    (["design", *TWO_LEVEL_FLAGS, "--tf", "3"], "config.sweep.tf"),
+])
+def test_a_key_no_step_reads_is_rejected(tmp_path, capsys, args, key):
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["figure", "fig5b", "--K", "20"],
+    ["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2"],
+    ["sweep-eps", "--model", "ring", "--u0", "0.5", "--K", "20", "--N", "3", "--N", "9",
+     "--tf", "10", "--eps", "0", "--n-steps", "400"],
+], ids=["fig5b", "fig6a", "sweep-eps"])
+def test_ring_designs_share_one_track(tmp_path, monkeypatch, args):
+    from faquad import protocol, spectral
+    grids = []
+    track_frames = spectral.track_frames
+
+    def counting(spec, grid, pairs=((1, 2),)):
+        if len(grid) == protocol.DEFAULT_GRID_POINTS:
+            grids.append(len(pairs))
+        return track_frames(spec, grid, pairs)
+
+    monkeypatch.setattr(spectral, "track_frames", counting)
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
+    n_pairs = 5 if args[1] == "fig5b" else 2
+    assert grids == [n_pairs]
 
 
 def test_constant_protocol_requires_value(tmp_path):

@@ -259,3 +259,30 @@ def test_stacked_state_evolution(two_level_spec, two_level_faquad):
     psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
     single = dynamics.evolve(two_level_spec, control, psi0, n_steps=2048, n_save=2)
     assert np.max(np.abs(U @ psi0 - single.final_state)) < 1e-12
+
+
+def test_ring_evolve_matches_a_complex_matmul_loop():
+    # evolve steps the real and imaginary parts with real matrix products;
+    # the plain loop casts each eigenvector matrix to complex.
+    spec = model.ring(u0=0.5, K=12)
+    traj = protocol.linear_ramp(spec)
+    table = dynamics.MidpointTable(spec, traj, 400)
+    control = protocol.rescale(traj, 20.0)
+    dt = 20.0 / 400
+    orbitals = tg.initial_stack(spec, 5).orbitals * np.exp(1j * np.arange(5))
+
+    def plain(psi):
+        psi = psi.reshape(spec.dim, -1)
+        for w, v in zip(table.eigvals, table.eigvecs):
+            v = v.astype(complex)
+            psi = v @ (np.exp(-1j * w * dt)[:, None] * (v.T @ psi))
+        return psi
+
+    cases = {"stack": orbitals[:, :3], "vector": orbitals[:, 1], "slice": orbitals[:, ::2]}
+    assert not cases["slice"].flags.c_contiguous
+    for name, psi0 in cases.items():
+        final = dynamics.evolve(spec, control, psi0, n_save=2, table=table).final_state
+        assert final.shape == psi0.shape, name
+        assert np.max(np.abs(final.reshape(spec.dim, -1) - plain(psi0))) <= 1e-13, name
+        streamed = dynamics.evolve(spec, control, psi0, n_steps=400, n_save=2).final_state
+        assert np.array_equal(streamed, final), name

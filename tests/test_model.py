@@ -114,6 +114,22 @@ def test_constructor_validation():
         model.hamiltonian(model.ring(u0=0.5), float("nan"))
 
 
+@pytest.mark.parametrize("spec", [
+    model.two_level(U=22.3, delta_start=66.7, delta_end=0.0),
+    model.bose_hubbard3(U=22.3, delta_start=66.7, delta_end=-66.7),
+    model.ring(u0=0.5, K=12),
+], ids=["two-level", "bose-hubbard-3", "ring-K12"])
+def test_array_of_controls_builds_the_stacked_matrices(spec):
+    lams = np.array([0.0, math.pi, 1.1 * math.pi])
+    for build in (model.hamiltonian, model.d_hamiltonian_d_lambda):
+        stack = build(spec, lams)
+        assert stack.shape == (3, spec.dim, spec.dim)
+        assert np.array_equal(stack, np.stack([build(spec, lam) for lam in lams]))
+        for bad in (float("nan"), np.array([0.0, np.inf]), np.array([np.nan])):
+            with pytest.raises(ValueError):
+                build(spec, bad)
+
+
 def test_free_ring_closed_form_spectrum():
     # Without the barrier the matrix is diagonal and the quantization
     # condition degenerates to alpha_n = n - Omega/(2 pi).

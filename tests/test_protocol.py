@@ -205,3 +205,22 @@ def test_trajectory_validation(two_level_spec):
 def test_adiabaticity_profile_requires_pair(two_level_spec):
     with pytest.raises(ValueError):
         protocol.adiabaticity_profile(protocol.linear_ramp(two_level_spec))
+
+
+def test_design_from_a_shared_track_is_the_standalone_design():
+    spec = model.ring(u0=0.5, K=20)
+    track = protocol.design_track(spec, [(3, 4), (9, 10)])
+    for design in (protocol.design_faquad, protocol.design_local_adiabatic,
+                   protocol.design_uniform_adiabatic):
+        for pair in ((3, 4), (9, 10)):
+            shared = design(spec, pair=pair, track=track)
+            alone = design(spec, pair=pair)
+            assert shared.c_tilde == alone.c_tilde
+            assert np.array_equal(shared.s_grid, alone.s_grid)
+            assert np.array_equal(shared.values, alone.values)
+    with pytest.raises(ValueError):
+        protocol.design_faquad(spec, pair=(5, 6), track=track)
+    with pytest.raises(ValueError):
+        protocol.design_faquad(model.ring(u0=0.6, K=20), pair=(3, 4), track=track)
+    with pytest.raises(ValueError):
+        protocol.design_faquad(spec, pair=(3, 4), grid=track.grid, track=track)
