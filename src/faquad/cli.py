@@ -5,10 +5,12 @@ figure <preset> for the eight built-in experiment presets. A preset is a
 shared config plus a list of steps, most of them subcommands, run into
 one output directory. A JSON config file provides any subset of the
 options; command-line flags override file values, which override preset
-values. Unknown config keys, keys that a preset's steps set and keys
-that no step of the run reads are rejected. Exit codes: 0 success, 2
-configuration error, 3 numerical failure. The environment variable
-FAQUAD_WORKERS caps the number of concurrent sweep workers (default 1).
+values. Before any step runs, every key is checked against its one
+declaration in ``_FLAGS``: an unknown key, a value of the wrong type or
+out of its range, and a key that no step of the run reads without setting
+it itself are rejected. Exit codes: 0 success, 2 configuration error, 3
+numerical failure. The environment variable FAQUAD_WORKERS caps the
+number of concurrent sweep workers (default 1).
 
 All CSV numbers are written with ``%.12g`` so that re-running an
 identical configuration reproduces byte-identical files.
@@ -34,21 +36,6 @@ from . import protocol as _protocol
 from . import tg as _tg
 from .errors import ConfigError, FaquadError
 
-_MODEL_KEYS = {
-    "two-level": {"kind", "U", "J", "lambda_start", "lambda_end"},
-    "bose-hubbard-3": {"kind", "U", "J", "lambda_start", "lambda_end"},
-    "ring": {"kind", "u0", "K", "lambda_start", "lambda_end"},
-}
-# The keys of each config section, with the number type a key's value must
-# convert to: [type] for a list of them, None for a value checked in use.
-_PROTOCOL_KEYS = {"kind": None, "pair": [int], "grid_points": int, "value": float}
-_SWEEP_KEYS = {"tf": float, "tf_min": float, "tf_max": float, "tf_count": int,
-               "epsilons": [float], "N": [int]}
-_INTEGRATOR_KEYS = {"n_steps": int, "n_save": int}
-_TOP_KEYS = {"model": None, "protocol": None, "sweep": None, "integrator": None,
-             "start": None, "target": None, "levels": int, "points": int,
-             "output_dir": None}
-
 _PROTOCOL_ALIASES = {
     "faquad": _protocol.FAQUAD,
     "la": _protocol.LOCAL_ADIABATIC,
@@ -59,7 +46,76 @@ _PROTOCOL_ALIASES = {
     "constant": _protocol.CONSTANT,
 }
 
+# The library function that builds each model kind, and the argument each
+# key of the model section passes to it. A key not given takes the
+# library's default.
+_BIAS_ARGS = {"U": "U", "J": "J", "lambda_start": "delta_start", "lambda_end": "delta_end"}
+_MODEL_ARGS = {
+    "two-level": (_model.two_level, _BIAS_ARGS),
+    "bose-hubbard-3": (_model.bose_hubbard3, _BIAS_ARGS),
+    "ring": (_model.ring, {"u0": "u0", "K": "K", "lambda_start": "omega_start",
+                           "lambda_end": "omega_end"}),
+}
+
 MIN_RING_K = 20
+_NUMBER_TYPES = {int: "an integer", float: "a finite number"}
+
+
+def _is_a(value, kind) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _int_or_str(text: str):
+    return int(text) if text.isdecimal() else text
+
+
+def _at_least(bound):
+    return (f">= {bound}", lambda v: v >= bound)
+
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+_ODD = ("odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
+_LEVEL = (f"{_dynamics.GROUND!r} or an integer >= 1",
+          lambda v: v == _dynamics.GROUND or _is_a(v, int) and v >= 1)
+
+# Every config key, declared once: the command-line flag that sets it, the
+# key as "section.key" or a top-level key, the flag's argparse options and
+# the range of its value, as (description, test) or None for no range. The
+# options give the key's type too: ``type`` is the type of each value, which
+# must be one of ``choices`` where these are given, and ``nargs`` or action
+# "append" make the value a list of them, of length ``nargs``.
+_FLAGS = (
+    ("--model", "model.kind", {"choices": sorted(_MODEL_ARGS)}, None),
+    ("--U", "model.U", {"type": float}, None),
+    ("--J", "model.J", {"type": float}, None),
+    ("--u0", "model.u0", {"type": float}, None),
+    ("--K", "model.K", {"type": int}, _at_least(MIN_RING_K)),
+    ("--lambda-start", "model.lambda_start", {"type": float}, None),
+    ("--lambda-end", "model.lambda_end", {"type": float}, None),
+    ("--protocol", "protocol.kind", {"choices": sorted(_PROTOCOL_ALIASES)}, None),
+    ("--pair", "protocol.pair", {"nargs": 2, "type": int, "metavar": ("I", "J")}, None),
+    ("--grid-points", "protocol.grid_points", {"type": int}, _at_least(2)),
+    ("--value", "protocol.value", {"type": float, "help": "constant protocol level"}, None),
+    ("--tf", "sweep.tf", {"type": float}, _POSITIVE),
+    ("--tf-min", "sweep.tf_min", {"type": float}, _POSITIVE),
+    ("--tf-max", "sweep.tf_max", {"type": float}, _POSITIVE),
+    ("--tf-count", "sweep.tf_count", {"type": int}, _at_least(2)),
+    ("--eps", "sweep.epsilons", {"action": "append", "type": float}, _at_least(-1)),
+    ("--N", "sweep.N", {"action": "append", "type": int}, _ODD),
+    ("--n-steps", "integrator.n_steps", {"type": int}, _at_least(1)),
+    ("--n-save", "integrator.n_save", {"type": int}, _at_least(2)),
+    ("--start", "start", {"type": _int_or_str}, _LEVEL),
+    ("--target", "target", {"type": _int_or_str}, _LEVEL),
+    ("--levels", "levels", {"type": int}, _at_least(1)),
+    ("--points", "points", {"type": int}, _at_least(2)),
+)
+_DECLARED = {name: (options, allowed) for _, name, options, allowed in _FLAGS}
+_SECTIONS = {name.split(".")[0] for name in _DECLARED if "." in name}
+_MODEL_KEYS = {name for name in _DECLARED if name.startswith("model.")}
 
 
 def _fmt(value) -> str:
@@ -77,75 +133,59 @@ def _write_csv(path, header, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _converts(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, (list, tuple)) and all(_converts(v, kind[0]) for v in value)
-    try:
-        return kind(value) is not None
-    except (TypeError, ValueError):
-        return False
+def _items(cfg: dict):
+    """Each key of ``cfg`` as in ``_DECLARED``, with its value."""
+    for name, value in cfg.items():
+        if name not in _SECTIONS:
+            yield name, value
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config.{name} must be an object")
+        else:
+            yield from ((f"{name}.{key}", v) for key, v in value.items())
 
 
-def _require_keys(section, allowed, where: str):
-    """Reject a key not in ``allowed``, and a value that does not convert to
-    the type ``allowed`` gives its key when ``allowed`` is a dict."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    for key, value in section.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key {where}.{key}")
-        kind = allowed[key] if isinstance(allowed, dict) else None
-        if kind is not None and not _converts(value, kind):
-            what = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
-            raise ConfigError(f"{where}.{key} must be {what}, got {value!r}")
+def _check_value(where: str, value, options: dict, allowed) -> None:
+    """Reject ``value`` unless it has the type that its key's ``options``
+    give and lies in the range ``allowed``."""
+    many = "nargs" in options or options.get("action") == "append"
+    if many:
+        count = options.get("nargs")
+        if not isinstance(value, (list, tuple)) or not value or count not in (None, len(value)):
+            raise ConfigError(f"{where} must be a list of {count or 'one or more'} values, "
+                              f"got {value!r}")
+        where = f"each element of {where}"
+    kind, choices = options.get("type"), options.get("choices")
+    for item in value if many else [value]:
+        if choices is not None and not (isinstance(item, str) and item in choices):
+            raise ConfigError(f"{where} must be one of {', '.join(choices)}, got {item!r}")
+        if kind in _NUMBER_TYPES and not _is_a(item, kind):
+            raise ConfigError(f"{where} must be {_NUMBER_TYPES[kind]}, got {item!r}")
+        if allowed is not None and not allowed[1](item):
+            raise ConfigError(f"{where} must be {allowed[0]}, got {item!r}")
 
 
-def _validate_model(mdl) -> None:
-    if not isinstance(mdl, dict) or "kind" not in mdl:
+def _validate_config(cfg: dict) -> None:
+    """Reject a key that ``_FLAGS`` does not declare or the model kind does
+    not take, and a value of the wrong type or out of its range."""
+    if not isinstance(cfg.get("model"), dict) or "kind" not in cfg["model"]:
         raise ConfigError("config.model.kind is required")
-    kind = mdl["kind"]
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    _require_keys(mdl, _MODEL_KEYS[kind], "config.model")
-    if kind == "ring":
-        K = mdl.get("K", 40)
-        if isinstance(K, bool) or not isinstance(K, numbers.Integral):
-            raise ConfigError(f"config.model.K must be an integer, got {K!r}")
-        if K < MIN_RING_K:
-            raise ConfigError(f"config.model.K must be >= {MIN_RING_K} for converged runs")
-
-
-def _validate_config(cfg: dict):
-    _require_keys(cfg, _TOP_KEYS, "config")
-    _validate_model(cfg.get("model"))
-    if "protocol" in cfg:
-        _require_keys(cfg["protocol"], _PROTOCOL_KEYS, "config.protocol")
-        pk = cfg["protocol"].get("kind", "faquad")
-        if not isinstance(pk, str) or pk not in _PROTOCOL_ALIASES:
-            raise ConfigError(f"unknown protocol kind {pk!r} in config.protocol.kind")
-        pair = cfg["protocol"].get("pair", (1, 2))
-        if len(pair) != 2:
-            raise ConfigError(f"config.protocol.pair must be two integers, got {pair!r}")
-    for section, keys in (("sweep", _SWEEP_KEYS), ("integrator", _INTEGRATOR_KEYS)):
-        if section in cfg:
-            _require_keys(cfg[section], keys, f"config.{section}")
+    for name, value in _items(cfg):
+        if name not in _DECLARED:
+            raise ConfigError(f"unknown key config.{name}")
+        _check_value(f"config.{name}", value, *_DECLARED[name])
+    kind = cfg["model"]["kind"]
+    for key in cfg["model"]:
+        if key != "kind" and key not in _MODEL_ARGS[kind][1]:
+            raise ConfigError(f"unknown key config.model.{key} for model kind {kind}")
 
 
 def _build_spec(mdl: dict) -> _model.ModelSpec:
-    kind = mdl["kind"]
+    build, names = _MODEL_ARGS[mdl["kind"]]
+    args = {names[key]: _DECLARED[f"model.{key}"][0]["type"](value)
+            for key, value in mdl.items() if key != "kind"}
     try:
-        if kind == "two-level":
-            return _model.two_level(U=float(mdl["U"]), J=float(mdl.get("J", 1.0)),
-                                    delta_start=float(mdl["lambda_start"]),
-                                    delta_end=float(mdl["lambda_end"]))
-        if kind == "bose-hubbard-3":
-            return _model.bose_hubbard3(U=float(mdl["U"]), J=float(mdl.get("J", 1.0)),
-                                        delta_start=float(mdl["lambda_start"]),
-                                        delta_end=float(mdl["lambda_end"]))
-        return _model.ring(u0=float(mdl["u0"]), K=int(mdl.get("K", 40)),
-                           omega_start=float(mdl.get("lambda_start", 0.0)),
-                           omega_end=float(mdl.get("lambda_end", math.pi)))
-    except (KeyError, TypeError, ValueError) as exc:
+        return build(**args)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
@@ -160,7 +200,7 @@ def _build_trajectories(spec, proto: dict, pairs) -> list:
                  _protocol.UNIFORM_ADIABATIC: _protocol.design_uniform_adiabatic}
     try:
         if kind in designers:
-            grid_points = int(proto.get("grid_points", _protocol.DEFAULT_GRID_POINTS))
+            grid_points = proto.get("grid_points", _protocol.DEFAULT_GRID_POINTS)
             track = _protocol.design_track(spec, pairs, grid_points=grid_points)
             return [designers[kind](spec, pair=pair, track=track) for pair in pairs]
         if kind == _protocol.LINEAR:
@@ -187,24 +227,9 @@ def _workers() -> int:
 
 def _tf_grid(sweep: dict) -> np.ndarray:
     try:
-        lo, hi = float(sweep["tf_min"]), float(sweep["tf_max"])
-        count = int(sweep.get("tf_count", 300))
+        return np.linspace(sweep["tf_min"], sweep["tf_max"], sweep.get("tf_count", 300))
     except KeyError as exc:
         raise ConfigError(f"config.sweep.{exc.args[0]} is required for duration sweeps") from exc
-    if not (0 < lo < hi) or count < 2:
-        raise ConfigError("duration sweep needs 0 < tf_min < tf_max and tf_count >= 2")
-    return np.linspace(lo, hi, count)
-
-
-def _parse_start_target(value):
-    if value is None:
-        return None
-    if isinstance(value, str) and value != _dynamics.GROUND:
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"start/target must be an integer or 'ground', got {value!r}") from exc
-    return value
 
 
 class _Run:
@@ -261,8 +286,7 @@ def _trajectory_rows(traj):
 
 
 def _n_steps(cfg):
-    n_steps = cfg.get("integrator", {}).get("n_steps")
-    return None if n_steps is None else int(n_steps)
+    return cfg.get("integrator", {}).get("n_steps")
 
 
 def _cmd_design(cfg, run):
@@ -279,8 +303,8 @@ def _cmd_design(cfg, run):
 
 def _cmd_spectrum(cfg, run):
     spec = _build_spec(cfg["model"])
-    levels = int(cfg.get("levels", 5))
-    points = int(cfg.get("points", 161))
+    levels = cfg.get("levels", min(5, spec.dim))
+    points = cfg.get("points", 161)
     grid = np.linspace(spec.lambda_start, spec.lambda_end, points)
     energies = np.linalg.eigvalsh(_model.hamiltonian(spec, grid))[:, :levels]
     rows = [(lam, n + 1, energies[i, n]) for i, lam in enumerate(grid) for n in range(levels)]
@@ -300,17 +324,13 @@ def _cmd_evolve(cfg, run):
     if "tf" not in sweep:
         raise ConfigError("config.sweep.tf is required for evolve")
     t_f = float(sweep["tf"])
-    if t_f <= 0:
-        raise ConfigError("config.sweep.tf must be positive")
-    integ = cfg.get("integrator", {})
-    n_steps = integ.get("n_steps")
-    n_save = int(integ.get("n_save", 401))
-    start = _parse_start_target(cfg.get("start", _dynamics.GROUND))
+    n_save = cfg.get("integrator", {}).get("n_save", 401)
+    start = cfg.get("start", _dynamics.GROUND)
 
     control = _protocol.rescale(traj, t_f)
     psi0 = _dynamics._start_vector(spec, traj, start)
     result = _dynamics.evolve(spec, control, psi0.astype(complex),
-                              n_steps=n_steps, n_save=n_save)
+                              n_steps=_n_steps(cfg), n_save=n_save)
     proj = _dynamics.adiabatic_projection(spec, control, result)
 
     rows = []
@@ -331,8 +351,8 @@ def _cmd_sweep_tf(cfg, run):
     spec = _build_spec(cfg["model"])
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
     tf_grid = _tf_grid(cfg.get("sweep", {}))
-    start = _parse_start_target(cfg.get("start", _dynamics.GROUND))
-    target = _parse_start_target(cfg.get("target", 1))
+    start = cfg.get("start", _dynamics.GROUND)
+    target = cfg.get("target", 1)
     curve = _dynamics.fidelity_sweep(spec, traj, tf_grid, start=start, target=target,
                                      n_steps=_n_steps(cfg), workers=_workers())
     if np.all(np.isnan(curve.population)):
@@ -359,7 +379,7 @@ def _cmd_sweep_eps(cfg, run):
     if "tf" not in sweep:
         raise ConfigError("config.sweep.tf is required for sweep-eps")
     t_f = float(sweep["tf"])
-    ns = [int(n) for n in sweep.get("N", (3, 9))]
+    ns = sweep.get("N", (3, 9))
     epsilons = [float(e) for e in sweep.get("epsilons", _tg.DEFAULT_EPSILONS)]
 
     trajs = _build_trajectories(spec, cfg.get("protocol", {}), [(N, N + 1) for N in ns])
@@ -387,7 +407,7 @@ def _ring_designs(spec, ns):
 def _figure_ring_trajectories(cfg, run):
     """The FAQUAD schedule of each N, one trajectory_N<N>.csv apiece."""
     spec = _build_spec(cfg["model"])
-    ns = [int(N) for N in cfg["sweep"]["N"]]
+    ns = cfg["sweep"]["N"]
     for N, traj in zip(ns, _ring_designs(spec, ns)):
         _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", _trajectory_rows(traj))
         run.derive(f"c_tilde_N{N}", traj.c_tilde)
@@ -399,7 +419,7 @@ def _figure_tg_duration(cfg, run):
     one sweep serves all its fillings."""
     spec = _build_spec(cfg["model"])
     tf_grid = _tf_grid(cfg["sweep"])
-    ns = [int(N) for N in cfg["sweep"]["N"]]
+    ns = cfg["sweep"]["N"]
     designs = _ring_designs(spec, ns)
 
     def sweep(traj, fillings):
@@ -428,10 +448,9 @@ _COMMANDS = {
 _STEPS = dict(_COMMANDS, **{"ring-trajectories": _figure_ring_trajectories,
                             "tg-duration": _figure_tg_duration})
 
-# The config keys each step reads besides the model section, as
-# "section.key" or a top-level key. A run rejects a key none of its steps reads.
-_SECTIONS = ("protocol", "sweep", "integrator")
-_READS_PROTOCOL = {f"protocol.{key}" for key in _PROTOCOL_KEYS}
+# The config keys each step reads besides the model, which every step reads,
+# as "section.key" or a top-level key.
+_READS_PROTOCOL = {name for name in _DECLARED if name.startswith("protocol.")}
 _READS = {
     "design": _READS_PROTOCOL,
     "spectrum": {"levels", "points"},
@@ -530,36 +549,44 @@ def _overlay(cfg: dict, extra: dict) -> dict:
     return out
 
 
+def _reject_unread_keys(cfg: dict, command: str, steps) -> None:
+    """Reject a key of ``cfg`` that no step of ``steps`` reads without
+    setting it itself; only the user can have put such a key there."""
+    read = set()
+    for name, overrides, _ in steps:
+        read |= (_READS[name] | _MODEL_KEYS) - {key for key, _ in _items(overrides)}
+    for key, _ in _items(cfg):
+        if key not in read:
+            raise ConfigError(f"no step of {command} reads config.{key} without setting it")
+
+
 def _step_config(cfg: dict, overrides: dict) -> dict:
-    """``cfg`` with a step's ``overrides`` laid over it. A key the step
-    sets must not come from ``cfg``: only the user can have put it there."""
-    for section, values in overrides.items():
-        for key in values:
-            if key in cfg.get(section, {}):
-                raise ConfigError(f"config.{section}.{key} is set by the preset "
-                                  f"and cannot be given")
+    """``cfg`` with a step's ``overrides`` laid over it, checked key by key
+    and by the checks that involve two keys."""
     step_cfg = _overlay(cfg, overrides)
     _validate_config(step_cfg)
+    spec = _build_spec(step_cfg["model"])
+    sweep = step_cfg.get("sweep", {})
+    if "tf_min" in sweep and "tf_max" in sweep and sweep["tf_min"] >= sweep["tf_max"]:
+        raise ConfigError("config.sweep.tf_min must be < config.sweep.tf_max")
+    if spec.kind == _model.RING and max(sweep.get("N", [1])) > 2 * spec.params.K - 1:
+        raise ConfigError(f"each element of config.sweep.N must be <= 2K - 1 = "
+                          f"{2 * spec.params.K - 1}, got {sweep['N']}")
+    for key in ("start", "target", "levels"):
+        level = step_cfg.get(key, 1)
+        if level != _dynamics.GROUND and level > spec.dim:
+            raise ConfigError(f"config.{key} must be <= {spec.dim}, the dimension of "
+                              f"the {spec.kind} model, got {level}")
     return step_cfg
-
-
-def _reject_unread_keys(cfg: dict, command: str, names) -> None:
-    """Reject a key of ``cfg`` that none of the steps ``names`` reads."""
-    read = set().union(*(_READS[name] for name in names))
-    for section, values in cfg.items():
-        if section == "model":
-            continue
-        for key in ([f"{section}.{k}" for k in values] if section in _SECTIONS else [section]):
-            if key not in read:
-                raise ConfigError(f"config.{key} is not read by {command}")
 
 
 def run_steps(command: str, cfg: dict, steps, out_dir: str) -> int:
     """Run ``steps`` (see ``builtin_figures``) on ``cfg`` into ``out_dir``,
-    with one manifest for them all. A subcommand is a single untagged step."""
+    with one manifest for them all. A subcommand is a single untagged step.
+    Every key and value is checked before the first step runs."""
     _validate_config(cfg)
+    _reject_unread_keys(cfg, command, steps)
     configs = [(name, _step_config(cfg, overrides), tag) for name, overrides, tag in steps]
-    _reject_unread_keys(cfg, command, [name for name, _, _ in steps])
     run = _Run(out_dir, command, cfg)
     run.manifest["steps"] = steps
     for name, step_cfg, tag in configs:
@@ -581,41 +608,13 @@ def _load_config(path) -> dict:
     return cfg
 
 
-# Each command-line flag: the config section it sets (None: top level),
-# its key there, and its argparse options.
-_FLAGS = (
-    ("--model", "model", "kind", {"choices": sorted(_MODEL_KEYS)}),
-    ("--U", "model", "U", {"type": float}),
-    ("--J", "model", "J", {"type": float}),
-    ("--u0", "model", "u0", {"type": float}),
-    ("--K", "model", "K", {"type": int}),
-    ("--lambda-start", "model", "lambda_start", {"type": float}),
-    ("--lambda-end", "model", "lambda_end", {"type": float}),
-    ("--protocol", "protocol", "kind", {"choices": sorted(_PROTOCOL_ALIASES)}),
-    ("--pair", "protocol", "pair", {"nargs": 2, "type": int, "metavar": ("I", "J")}),
-    ("--grid-points", "protocol", "grid_points", {"type": int}),
-    ("--value", "protocol", "value", {"type": float, "help": "constant protocol level"}),
-    ("--tf", "sweep", "tf", {"type": float}),
-    ("--tf-min", "sweep", "tf_min", {"type": float}),
-    ("--tf-max", "sweep", "tf_max", {"type": float}),
-    ("--tf-count", "sweep", "tf_count", {"type": int}),
-    ("--eps", "sweep", "epsilons", {"action": "append", "type": float}),
-    ("--N", "sweep", "N", {"action": "append", "type": int}),
-    ("--n-steps", "integrator", "n_steps", {"type": int}),
-    ("--n-save", "integrator", "n_save", {"type": int}),
-    ("--start", None, "start", {}),
-    ("--target", None, "target", {}),
-    ("--levels", None, "levels", {"type": int}),
-    ("--points", None, "points", {"type": int}),
-)
-
-
 def _flag_config(args) -> dict:
     """The config that the command-line flags given spell out."""
     cfg = {}
-    for flag, section, key, _ in _FLAGS:
+    for flag, name, _, _ in _FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
+            section, _, key = name.rpartition(".")
             (cfg.setdefault(section, {}) if section else cfg)[key] = value
     return cfg
 
@@ -623,7 +622,7 @@ def _flag_config(args) -> dict:
 def _add_common_flags(parser):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default="faquad-out", help="output directory")
-    for flag, _, _, options in _FLAGS:
+    for flag, _, options, _ in _FLAGS:
         parser.add_argument(flag, **options)
 
 

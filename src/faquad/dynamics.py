@@ -101,13 +101,13 @@ def bare_state(spec: _model.ModelSpec, index: int) -> np.ndarray:
 
 
 def default_n_steps(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory,
-                    t_f: float, pair=None, probe_points: int = 129) -> int:
+                    t_f: float, pair=None) -> int:
     """Step count resolving the fastest pair phase: max(2000,
     ceil(200 * t_f * max_gap / 2 pi)) with the gap probed along the
     trajectory for the designed (or given) level pair."""
     if pair is None:
         pair = traj.pair if traj.pair is not None else (1, 2)
-    lams = np.unique(traj.evaluate(np.linspace(0.0, 1.0, probe_points)))
+    lams = np.unique(traj.evaluate(np.linspace(0.0, 1.0, 129)))
     energies = np.linalg.eigvalsh(_model.hamiltonian(spec, lams))
     gap_max = float(np.max(energies[:, pair[1] - 1] - energies[:, pair[0] - 1]))
     return int(max(MIN_STEPS, math.ceil(200.0 * t_f * gap_max / (2.0 * math.pi))))

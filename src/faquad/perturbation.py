@@ -53,15 +53,14 @@ class PerturbationPrediction:
         return float(out) if np.isscalar(t_f) else out
 
 
-def phase_integral(traj: _protocol.NormalizedTrajectory, spec=None, pair=None) -> float:
+def phase_integral(traj: _protocol.NormalizedTrajectory) -> float:
     """Normalized gap integral Phi over the trajectory's natural clock.
 
     Trapezoid quadrature of the tracked pair gap on the trajectory's own
     (s, lambda) knots. Duration never enters: the same trajectory gives
     the same Phi at every t_f by construction.
     """
-    spec = spec if spec is not None else traj.spec
-    pair = pair if pair is not None else (traj.pair or (1, 2))
+    spec, pair = traj.spec, traj.pair or (1, 2)
     if traj.kind == _protocol.CONSTANT:
         lam = float(traj.values[0])
         energies = np.linalg.eigvalsh(_model.hamiltonian(spec, lam))
@@ -71,13 +70,12 @@ def phase_integral(traj: _protocol.NormalizedTrajectory, spec=None, pair=None) -
     return float(np.trapezoid(gap, traj.s_grid))
 
 
-def predict(traj: _protocol.NormalizedTrajectory, spec=None, pair=None) -> PerturbationPrediction:
+def predict(traj: _protocol.NormalizedTrajectory) -> PerturbationPrediction:
     """Bundle Phi, c_tilde and the sign factor for a designed trajectory."""
-    spec = spec if spec is not None else traj.spec
-    pair = tuple(pair if pair is not None else (traj.pair or (1, 2)))
+    spec, pair = traj.spec, tuple(traj.pair or (1, 2))
     if traj.c_tilde is None:
         raise ValueError("trajectory defines no adiabaticity constant c_tilde")
-    phi = phase_integral(traj, spec, pair)
+    phi = phase_integral(traj)
     track = _spectral.track_frames(spec, traj.values[:2], pairs=(pair,))
     r = 1.0 if track.coupling(pair)[0] * track.gap(pair)[0] >= 0 else -1.0
     return PerturbationPrediction(

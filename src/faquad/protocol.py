@@ -145,24 +145,21 @@ class TimedControl:
         return None if ct is None else ct / self.t_f
 
 
-def design_track(spec: _model.ModelSpec, pairs, grid=None,
+def design_track(spec: _model.ModelSpec, pairs,
                  grid_points: int = DEFAULT_GRID_POINTS) -> _spectral.FrameTrack:
-    """The FrameTrack that the designers read: ``spec`` diagonalised along
-    ``grid`` (by default ``grid_points`` evenly spaced controls from
-    lambda_start to lambda_end), with the couplings of every level pair in
-    ``pairs``. One track serves a design of each of those pairs."""
-    if grid is None:
-        grid = np.linspace(spec.lambda_start, spec.lambda_end, grid_points)
+    """The FrameTrack that the designers read: ``spec`` diagonalised at
+    ``grid_points`` evenly spaced controls from lambda_start to lambda_end,
+    with the couplings of every level pair in ``pairs``. One track serves a
+    design of each of those pairs."""
+    grid = np.linspace(spec.lambda_start, spec.lambda_end, grid_points)
     return _spectral.track_frames(spec, grid, pairs=pairs)
 
 
-def _pair_track(spec, pair, grid, grid_points, track) -> _spectral.FrameTrack:
+def _pair_track(spec, pair, grid_points, track) -> _spectral.FrameTrack:
     """``track`` checked against ``spec`` and ``pair``, or a new track of
     ``pair`` on the design grid when it is None."""
     if track is None:
-        return design_track(spec, [pair], grid, grid_points)
-    if grid is not None:
-        raise ValueError("give either a design grid or a track, not both")
+        return design_track(spec, [pair], grid_points)
     if track.spec != spec:
         raise ValueError("the track belongs to a different model")
     if _spectral._canonical_pair(pair, spec.dim) not in track.pairs:
@@ -197,7 +194,7 @@ def _design_from_weight(spec, grid, weight, kind, pair, c_tilde_sign=1.0) -> Nor
     )
 
 
-def design_faquad(spec: _model.ModelSpec, pair=(1, 2), grid=None,
+def design_faquad(spec: _model.ModelSpec, pair=(1, 2),
                   grid_points: int = DEFAULT_GRID_POINTS,
                   track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Fast quasi-adiabatic schedule for a tracked level pair.
@@ -206,17 +203,17 @@ def design_faquad(spec: _model.ModelSpec, pair=(1, 2), grid=None,
     through avoided crossings. ``c_tilde`` comes out positive because the
     weight |coupling/gap| is integrated over arc length.
     """
-    track = _pair_track(spec, pair, grid, grid_points, track)
+    track = _pair_track(spec, pair, grid_points, track)
     weight = np.abs(track.coupling(pair) / track.gap(pair))
     return _design_from_weight(spec, track.grid, weight, FAQUAD, pair)
 
 
-def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2), grid=None,
+def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
                            grid_points: int = DEFAULT_GRID_POINTS,
                            track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Local-adiabatic competitor: drive speed proportional to gap^2,
     i.e. the same construction as FAQUAD without the coupling factor."""
-    track = _pair_track(spec, pair, grid, grid_points, track)
+    track = _pair_track(spec, pair, grid_points, track)
     weight = 1.0 / track.gap(pair) ** 2
     return _design_from_weight(spec, track.grid, weight, LOCAL_ADIABATIC, pair)
 
@@ -236,7 +233,7 @@ def _ua_weight(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.abs(dgap) / gap**2
 
 
-def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2), grid=None,
+def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
                              grid_points: int = DEFAULT_GRID_POINTS,
                              track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Uniform-adiabatic competitor: drive speed gap^2 / |gap'|.
@@ -244,25 +241,23 @@ def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2), grid=None,
     The weight stays integrable through a gap minimum, where the
     resulting schedule shows its characteristic kink.
     """
-    track = _pair_track(spec, pair, grid, grid_points, track)
+    track = _pair_track(spec, pair, grid_points, track)
     weight = _ua_weight(track.gap(pair), track.grid)
     return _design_from_weight(spec, track.grid, weight, UNIFORM_ADIABATIC, pair)
 
 
-def linear_ramp(spec: _model.ModelSpec, knots: int = 201) -> NormalizedTrajectory:
+def linear_ramp(spec: _model.ModelSpec) -> NormalizedTrajectory:
     """Straight line between the boundary control values."""
-    s = np.linspace(0.0, 1.0, knots)
+    s = np.linspace(0.0, 1.0, 201)
     values = spec.lambda_start + s * (spec.lambda_end - spec.lambda_start)
     return NormalizedTrajectory(kind=LINEAR, spec=spec, s_grid=s, values=values)
 
 
-def constant_protocol(spec: _model.ModelSpec, value: float, knots: int = 2) -> NormalizedTrajectory:
+def constant_protocol(spec: _model.ModelSpec, value: float) -> NormalizedTrajectory:
     """Hold the control at a fixed value; the pi-pulse reference uses
     value = U, where the two-level model is on resonance."""
-    s = np.linspace(0.0, 1.0, knots)
-    return NormalizedTrajectory(
-        kind=CONSTANT, spec=spec, s_grid=s, values=np.full_like(s, float(value))
-    )
+    return NormalizedTrajectory(kind=CONSTANT, spec=spec, s_grid=np.array([0.0, 1.0]),
+                                values=np.full(2, float(value)))
 
 
 def rescale(traj: NormalizedTrajectory, t_f: float) -> TimedControl:

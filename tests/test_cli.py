@@ -192,6 +192,13 @@ def test_spectrum_outputs_ring_oracle_files(tmp_path):
         assert float(r[3]) == pytest.approx(float(r[2]) ** 2, rel=1e-9)
 
 
+def test_spectrum_default_levels_fit_the_model(tmp_path):
+    out = tmp_path / "sp"
+    assert cli.main(["spectrum", *TWO_LEVEL_FLAGS, "--points", "3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "spectrum.csv")
+    assert len(rows) == 3 * 2
+
+
 @pytest.mark.parametrize("args,csv", [
     pytest.param(["sweep-tf", *TWO_LEVEL_FLAGS, "--protocol", "faquad", "--tf-min", "0.5",
                   "--tf-max", "1.5", "--tf-count", "5", "--n-steps", "2048"],
@@ -218,6 +225,9 @@ def test_workers_env_does_not_change_results(tmp_path, monkeypatch, args, csv):
     ("sweep-tf", "protocol", "pair", 3),
     ("sweep-eps", "sweep", "N", ["x"]),
     ("design", "protocol", "pair", [3]),
+    ("sweep-eps", "sweep", "N", [3.5]),
+    ("sweep-tf", "sweep", "tf_count", 2.9),
+    ("sweep-tf", "integrator", "n_steps", 400.7),
 ])
 def test_wrong_typed_config_value_is_rejected(tmp_path, capsys, command, section, key, value):
     cfg = tmp_path / "bad.json"
@@ -263,6 +273,46 @@ def test_ring_designs_share_one_track(tmp_path, monkeypatch, args):
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
     n_pairs = 5 if args[1] == "fig5b" else 2
     assert grids == [n_pairs]
+
+
+RING_FLAGS = ["--model", "ring", "--u0", "0.5", "--K", "20"]
+
+
+@pytest.mark.parametrize("args,key", [
+    (["sweep-eps", *RING_FLAGS, "--N", "4", "--tf", "10", "--eps", "0"], "config.sweep.N"),
+    (["figure", "fig6a", "--K", "20", "--N", "4", "--n-steps", "400", "--tf-count", "2"],
+     "config.sweep.N"),
+    (["sweep-eps", *RING_FLAGS, "--N", "41", "--tf", "10", "--eps", "0"], "config.sweep.N"),
+    (["sweep-eps", *RING_FLAGS, "--tf", "0", "--eps", "0"], "config.sweep.tf"),
+    (["sweep-eps", *RING_FLAGS, "--tf", "10", "--eps", "-2"], "config.sweep.epsilons"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5", "--tf-max", "1", "--n-steps", "0"],
+     "config.integrator.n_steps"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "1", "--tf-max", "0.5"], "config.sweep.tf_min"),
+    (["evolve", *TWO_LEVEL_FLAGS, "--tf", "1", "--n-save", "1"], "config.integrator.n_save"),
+    (["spectrum", *RING_FLAGS, "--points", "0"], "config.points"),
+    (["spectrum", *TWO_LEVEL_FLAGS, "--levels", "3"], "config.levels"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5", "--tf-max", "1", "--target", "7"],
+     "config.target"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5", "--tf-max", "1", "--start", "0"],
+     "config.start"),
+], ids=["sweep-eps-even-N", "fig6a-even-N", "N-above-2K-1", "tf", "eps", "n-steps",
+        "tf-order", "n-save", "points", "levels", "target", "start"])
+def test_out_of_range_value_is_rejected_before_any_step(tmp_path, monkeypatch, capsys, args, key):
+    from faquad import spectral
+    calls = []
+    monkeypatch.setattr(spectral, "track_frames", lambda *a, **k: calls.append(a))
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert calls == []
+
+
+def test_every_key_is_declared_once_and_read():
+    names = [name for _, name, _, _ in cli._FLAGS]
+    assert len(names) == len(set(names))
+    read = set().union(*cli._READS.values())
+    assert read <= set(names)
+    assert {name for name in names if not name.startswith("model.")} <= read
 
 
 def test_constant_protocol_requires_value(tmp_path):

@@ -20,7 +20,7 @@ PHI_RING_N9 = 0.07929632223330493
 def test_constant_control_phase_is_the_fixed_gap(two_level_spec):
     # At Delta = U the two-level gap is exactly 2 sqrt(2) J.
     const = protocol.constant_protocol(two_level_spec, 22.3)
-    phi = perturbation.phase_integral(const, spec=two_level_spec)
+    phi = perturbation.phase_integral(const)
     assert phi == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
 
 
@@ -86,7 +86,7 @@ def test_predict_requires_designed_schedule(two_level_spec):
     with pytest.raises(ValueError):
         perturbation.predict(lin)
     # the phase integral itself is still defined along any trajectory
-    assert perturbation.phase_integral(lin, spec=two_level_spec, pair=(1, 2)) > 0
+    assert perturbation.phase_integral(lin) > 0
 
 
 def test_competitor_prediction_flagged_approximate(two_level_la):

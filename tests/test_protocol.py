@@ -222,5 +222,3 @@ def test_design_from_a_shared_track_is_the_standalone_design():
         protocol.design_faquad(spec, pair=(5, 6), track=track)
     with pytest.raises(ValueError):
         protocol.design_faquad(model.ring(u0=0.6, K=20), pair=(3, 4), track=track)
-    with pytest.raises(ValueError):
-        protocol.design_faquad(spec, pair=(3, 4), grid=track.grid, track=track)
