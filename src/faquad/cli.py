@@ -58,10 +58,13 @@ _MODEL_ARGS = {
 }
 
 MIN_RING_K = 20
-_NUMBER_TYPES = {int: "an integer", float: "a finite number"}
+DEFAULT_OUTPUT_DIR = "faquad-out"
+_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _is_a(value, kind) -> bool:
+    if kind is str:
+        return isinstance(value, str)
     if isinstance(value, bool):
         return False
     if kind is int:
@@ -112,6 +115,9 @@ _FLAGS = (
     ("--target", "target", {"type": _int_or_str}, _LEVEL),
     ("--levels", "levels", {"type": int}, _at_least(1)),
     ("--points", "points", {"type": int}, _at_least(2)),
+    ("--out", "output_dir",
+     {"type": str, "help": f"output directory (default {DEFAULT_OUTPUT_DIR})"},
+     ("not empty", lambda v: v != "")),
 )
 _DECLARED = {name: (options, allowed) for _, name, options, allowed in _FLAGS}
 _SECTIONS = {name.split(".")[0] for name in _DECLARED if "." in name}
@@ -158,8 +164,8 @@ def _check_value(where: str, value, options: dict, allowed) -> None:
     for item in value if many else [value]:
         if choices is not None and not (isinstance(item, str) and item in choices):
             raise ConfigError(f"{where} must be one of {', '.join(choices)}, got {item!r}")
-        if kind in _NUMBER_TYPES and not _is_a(item, kind):
-            raise ConfigError(f"{where} must be {_NUMBER_TYPES[kind]}, got {item!r}")
+        if kind in _TYPES and not _is_a(item, kind):
+            raise ConfigError(f"{where} must be {_TYPES[kind]}, got {item!r}")
         if allowed is not None and not allowed[1](item):
             raise ConfigError(f"{where} must be {allowed[0]}, got {item!r}")
 
@@ -449,9 +455,9 @@ _STEPS = dict(_COMMANDS, **{"ring-trajectories": _figure_ring_trajectories,
                             "tg-duration": _figure_tg_duration})
 
 # The config keys each step reads besides the model, which every step reads,
-# as "section.key" or a top-level key.
+# as "section.key" or a top-level key. Every step writes into output_dir.
 _READS_PROTOCOL = {name for name in _DECLARED if name.startswith("protocol.")}
-_READS = {
+_READS = {step: {"output_dir"} | keys for step, keys in {
     "design": _READS_PROTOCOL,
     "spectrum": {"levels", "points"},
     "evolve": _READS_PROTOCOL | {"sweep.tf", "integrator.n_steps", "integrator.n_save", "start"},
@@ -461,7 +467,7 @@ _READS = {
     "ring-trajectories": {"sweep.N"},
     "tg-duration": {"sweep.tf_min", "sweep.tf_max", "sweep.tf_count", "sweep.N",
                     "integrator.n_steps"},
-}
+}.items()}
 
 
 def builtin_figures() -> dict:
@@ -580,14 +586,16 @@ def _step_config(cfg: dict, overrides: dict) -> dict:
     return step_cfg
 
 
-def run_steps(command: str, cfg: dict, steps, out_dir: str) -> int:
-    """Run ``steps`` (see ``builtin_figures``) on ``cfg`` into ``out_dir``,
-    with one manifest for them all. A subcommand is a single untagged step.
-    Every key and value is checked before the first step runs."""
+def run_steps(command: str, cfg: dict, steps) -> int:
+    """Run ``steps`` (see ``builtin_figures``) on ``cfg`` into its
+    ``output_dir`` (default DEFAULT_OUTPUT_DIR), with one manifest for them
+    all. A subcommand is a single untagged step. Every key and value is
+    checked before the first step runs."""
     _validate_config(cfg)
     _reject_unread_keys(cfg, command, steps)
     configs = [(name, _step_config(cfg, overrides), tag) for name, overrides, tag in steps]
-    run = _Run(out_dir, command, cfg)
+    cfg = dict(cfg)
+    run = _Run(cfg.pop("output_dir", DEFAULT_OUTPUT_DIR), command, cfg)
     run.manifest["steps"] = steps
     for name, step_cfg, tag in configs:
         run.tag = tag
@@ -621,7 +629,6 @@ def _flag_config(args) -> dict:
 
 def _add_common_flags(parser):
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", default="faquad-out", help="output directory")
     for flag, _, options, _ in _FLAGS:
         parser.add_argument(flag, **options)
 
@@ -652,8 +659,7 @@ def main(argv=None) -> int:
         if args.config:
             cfg = _overlay(cfg, _load_config(args.config))
         cfg = _overlay(cfg, _flag_config(args))
-        out_dir = cfg.pop("output_dir", None) or args.out
-        return run_steps(command, cfg, steps, out_dir)
+        return run_steps(command, cfg, steps)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,14 +9,26 @@ which is unitary by construction (second order in the step for a
 time-dependent generator). Midpoint control values depend only on the
 normalized clock s = (k + 1/2)/n_steps, so the eigendecompositions can
 be tabulated once per (trajectory, n_steps) and reused across all
-durations of a sweep; small systems additionally collapse the whole
-product of step propagators with a pairwise tree reduction instead of a
-Python loop over steps.
+durations of a sweep.
+
+Small systems collapse the whole product of step propagators with a
+pairwise tree reduction instead of a Python loop over steps. The product
+is regrouped as
+
+    V_{n-1} P_{n-1} O_{n-1} ... O_1 P_0 V_0^T,   O_k = V_k^T V_{k-1},
+
+so only the diagonal phases P_k = exp(-i E_k dt) depend on the duration:
+the real overlaps O_k are formed once per table (``StepOverlaps``), and a
+duration costs the phases, one scaling of the overlap rows and the tree
+product. The factors are stored structure-of-arrays, as one (d, d, n)
+array with the step index last, so each level of the tree is a few
+elementwise multiply-adds on the component vectors of the factors.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,9 +44,14 @@ MIN_STEPS = 2000
 # Largest eigenvector table kept in memory, in float64 entries.
 TABLE_ENTRY_BUDGET = 60_000_000
 # Dimension at or below which sweeps collapse step propagators by tree
-# product instead of streaming matrix-vector products.
-TREE_PRODUCT_MAX_DIM = 8
+# product instead of streaming matrix-vector products. The elementwise tree
+# does d^3 vector multiply-adds per level; it beats a stacked-matmul tree
+# up to d = 4 and loses from d = 5. Only library ring models with K <= 3
+# reach d = 5..8, and they stream.
+TREE_PRODUCT_MAX_DIM = 4
 _CHUNK = 512
+# Factor pairs per vector operation of the tree product; bounds its scratch.
+_TREE_CHUNK = 4096
 
 GROUND = "ground"
 
@@ -144,21 +161,86 @@ class MidpointTable:
         return n_steps * spec.dim * spec.dim <= TABLE_ENTRY_BUDGET
 
 
-def _tree_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[n-1] @ ... @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        m = mats.shape[0] // 2
-        head = np.matmul(mats[1 : 2 * m : 2], mats[0 : 2 * m : 2])
-        if mats.shape[0] % 2:
-            head[-1] = mats[-1] @ head[-1]
-        mats = head
-    return mats[0]
+class StepOverlaps:
+    """The parts of a ``MidpointTable`` that the tree product needs.
+
+    ``energies`` is the (d, n) eigenvalue table, level first; ``overlaps``
+    holds O_k = V_k^T V_{k-1} as a (d, d, n) array with O_0 the identity;
+    ``first`` is V_0^T and ``last`` V_{n-1}. None depends on the duration.
+    Each thread that forms a product gets its own scratch arrays, made on
+    first use and kept for the next duration.
+    """
+
+    def __init__(self, table: MidpointTable):
+        v = table.eigvecs
+        n, d = table.eigvals.shape
+        self.energies = np.ascontiguousarray(table.eigvals.T)
+        self.first = v[0].T.copy()
+        self.last = v[-1].copy()
+        self.overlaps = np.empty((d, d, n))
+        self.overlaps[:, :, 0] = np.eye(d)
+        np.matmul(v[1:].transpose(0, 2, 1), v[:-1],
+                  out=self.overlaps[:, :, 1:].transpose(2, 0, 1))
+        self._local = threading.local()
+
+    def scratch(self):
+        """(phases, stack, spare, term) of this thread."""
+        if not hasattr(self._local, "arrays"):
+            d, n = self.energies.shape
+            self._local.arrays = (np.empty((d, n), dtype=complex),
+                                  np.empty((d, d, n), dtype=complex),
+                                  np.empty((d, d, n // 2), dtype=complex),
+                                  np.empty((d, d, min(n // 2, _TREE_CHUNK)), dtype=complex))
+        return self._local.arrays
 
 
-def _total_propagator(table: MidpointTable, dt: float) -> np.ndarray:
-    phases = np.exp(-1j * table.eigvals * dt)
-    steps = np.einsum("kij,kj,klj->kil", table.eigvecs, phases, table.eigvecs)
-    return _tree_product(steps)
+def _pair_products(later, earlier, out=None, term=None):
+    """later[:, :, k] @ earlier[:, :, k] for every k of two (d, d, m) stacks,
+    each entry accumulated over the inner index in order."""
+    out = np.multiply(later[:, 0, None], earlier[None, 0], out=out)
+    for i in range(1, later.shape[1]):
+        out += np.multiply(later[:, i, None], earlier[None, i], out=term)
+    return out
+
+
+def _tree_product(stack: np.ndarray, spare: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Ordered product stack[:, :, n-1] @ ... @ stack[:, :, 0] of a (d, d, n)
+    stack, by pairwise reduction of neighbours; at a level of odd length
+    the last factor multiplies the last pair product. The levels alternate
+    between ``stack`` and ``spare`` (at least n // 2 long), which are
+    overwritten, and run in chunks of the length of ``term``."""
+    n = stack.shape[2]
+    chunk = term.shape[2]
+    while n > 1:
+        m = n // 2
+        for lo in range(0, m, chunk):
+            hi = min(lo + chunk, m)
+            _pair_products(stack[:, :, 2 * lo + 1 : 2 * hi : 2], stack[:, :, 2 * lo : 2 * hi : 2],
+                           out=spare[:, :, lo:hi], term=term[:, :, : hi - lo])
+        if n % 2:
+            spare[:, :, m - 1 : m] = _pair_products(stack[:, :, n - 1 : n],
+                                                    spare[:, :, m - 1 : m])
+        stack, spare, n = spare, stack, m
+    return stack[:, :, 0].copy()
+
+
+def _total_propagator(steps: StepOverlaps, dt: float) -> np.ndarray:
+    """Product of all step propagators V_k exp(-i E_k dt) V_k^T at step dt."""
+    phases, stack, spare, term = steps.scratch()
+    angles = np.multiply(steps.energies, -dt, out=phases.imag)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=angles)
+    np.multiply(steps.overlaps, phases[:, None, :], out=stack)
+    return steps.last @ _tree_product(stack, spare, term) @ steps.first
+
+
+def _check_norm(states: np.ndarray, axis: int) -> float:
+    """Largest deviation from 1 of the norms along ``axis``; past
+    NORM_DRIFT_LIMIT it raises StepSizeTooCoarse."""
+    drift = float(np.max(np.abs(np.linalg.norm(states, axis=axis) - 1.0)))
+    if drift > NORM_DRIFT_LIMIT:
+        raise StepSizeTooCoarse(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
+    return drift
 
 
 def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
@@ -217,10 +299,7 @@ def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
                 saved[pos] = psi
                 pos += 1
 
-    drift = float(np.max(np.abs(np.linalg.norm(saved, axis=1) - 1.0)))
-    if drift > NORM_DRIFT_LIMIT:
-        raise StepSizeTooCoarse(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
-
+    drift = _check_norm(saved, axis=1)
     times = save_idx * dt
     times[-1] = control.t_f
     states = saved[:, :, 0] if single else saved
@@ -255,20 +334,30 @@ def _final_states(spec, traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     """(n_steps, final): final(t_f) is psi0, a vector or a (dim, m) stack,
     evolved along ``traj`` played over t_f. All durations share the step
     count (by default the largest rule of ``pairs`` at the longest one) and
-    one midpoint table if it fits; small models take the tree product."""
+    one midpoint table if it fits. Small models take the tree product and
+    keep only the table's ``StepOverlaps``; their final states get the
+    same norm check as ``evolve``."""
     if np.any(tf_arr <= 0):
         raise ValueError("all durations must be positive")
     if n_steps is None:
         n_steps = max(default_n_steps(spec, traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)
     n_steps = int(n_steps)
-    table = MidpointTable(spec, traj, n_steps) if MidpointTable.fits(spec, n_steps) else None
+    fits = MidpointTable.fits(spec, n_steps)
+    if fits and spec.dim <= TREE_PRODUCT_MAX_DIM:
+        steps = StepOverlaps(MidpointTable(spec, traj, n_steps))
 
-    def final(t_f):
-        if table is not None and spec.dim <= TREE_PRODUCT_MAX_DIM:
-            return _total_propagator(table, t_f / n_steps) @ psi0
-        control = _protocol.rescale(traj, t_f)
-        return evolve(spec, control, psi0, n_steps=n_steps, n_save=2, table=table).final_state
+        def final(t_f):
+            state = _total_propagator(steps, t_f / n_steps) @ psi0
+            _check_norm(state, axis=0)
+            return state
+    else:
+        table = MidpointTable(spec, traj, n_steps) if fits else None
+
+        def final(t_f):
+            control = _protocol.rescale(traj, t_f)
+            return evolve(spec, control, psi0, n_steps=n_steps, n_save=2,
+                          table=table).final_state
 
     return n_steps, final
 

@@ -307,6 +307,36 @@ def test_out_of_range_value_is_rejected_before_any_step(tmp_path, monkeypatch, c
     assert calls == []
 
 
+@pytest.mark.parametrize("value", [3, ""])
+def test_output_dir_of_the_wrong_type_is_rejected_before_any_step(tmp_path, monkeypatch, capsys,
+                                                                  value):
+    from faquad import spectral
+    calls = []
+    monkeypatch.setattr(spectral, "track_frames", lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": value}))
+    assert cli.main(["design", *TWO_LEVEL_FLAGS, "--config", str(cfg)]) == 2
+    assert "config.output_dir" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_out_flag_overrides_the_config_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": "from_file"}))
+    args = ["design", *TWO_LEVEL_FLAGS, "--config", str(cfg)]
+    assert cli.main(args + ["--out", "from_flag"]) == 0
+    assert (tmp_path / "from_flag" / "trajectory.csv").exists()
+    assert not (tmp_path / "from_file").exists()
+    assert cli.main(args) == 0
+    assert (tmp_path / "from_file" / "trajectory.csv").exists()
+    assert cli.main(["design", *TWO_LEVEL_FLAGS]) == 0
+    manifest = json.loads((tmp_path / cli.DEFAULT_OUTPUT_DIR / "manifest.json").read_text())
+    assert "output_dir" not in manifest["config"]
+
+
 def test_every_key_is_declared_once_and_read():
     names = [name for _, name, _, _ in cli._FLAGS]
     assert len(names) == len(set(names))

@@ -286,3 +286,75 @@ def test_ring_evolve_matches_a_complex_matmul_loop():
         assert np.max(np.abs(final.reshape(spec.dim, -1) - plain(psi0))) <= 1e-13, name
         streamed = dynamics.evolve(spec, control, psi0, n_steps=400, n_save=2).final_state
         assert np.array_equal(streamed, final), name
+
+
+@pytest.mark.parametrize("spec_name,traj_name,t_f,n_steps", [
+    ("two_level_spec", "two_level_faquad", 10.0, 14162),
+    ("cotunneling_spec", "cotunneling_faquad", 20.0, 28309),
+])
+def test_total_propagator_matches_an_extended_precision_step_product(
+        request, spec_name, traj_name, t_f, n_steps):
+    # The regrouped tree product against the step-by-step product of the
+    # same table's propagators V_k exp(-i E_k dt) V_k^T, in clongdouble.
+    spec, traj = request.getfixturevalue(spec_name), request.getfixturevalue(traj_name)
+    table = dynamics.MidpointTable(spec, traj, n_steps)
+    dt = t_f / n_steps
+    U = dynamics._total_propagator(dynamics.StepOverlaps(table), dt)
+
+    v = table.eigvecs.astype(np.clongdouble)
+    phases = np.exp(-1j * table.eigvals.astype(np.longdouble) * np.longdouble(dt))
+    steps = np.matmul(v * phases[:, None, :], v.transpose(0, 2, 1))
+    exact = np.eye(spec.dim, dtype=np.clongdouble)
+    for step in steps:
+        exact = step @ exact
+    assert np.max(np.abs(U - exact)) <= 1e-12
+
+
+def _pairwise_reduction(mats, product):
+    # The tree of the stacked layout (n, d, d): neighbours pair up, and at a
+    # level of odd length the last factor multiplies the last pair product.
+    while mats.shape[0] > 1:
+        m = mats.shape[0] // 2
+        head = product(mats[1 : 2 * m : 2], mats[0 : 2 * m : 2])
+        if mats.shape[0] % 2:
+            head[-1:] = product(mats[-1:], head[-1:])
+        mats = head
+    return mats[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1025])
+def test_tree_product_is_the_pairwise_stacked_reduction(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    mats, _ = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+
+    # Stacked matrix products with each entry summed over the inner index
+    # in order, as the tree's elementwise multiply-adds do.
+    def ordered(a, b):
+        return (a[:, :, :, None] * b[:, None, :, :]).sum(axis=2)
+
+    expected = _pairwise_reduction(mats, ordered)
+    for chunk in sorted({max(1, min(n // 2, 5)), max(1, n // 2)}):
+        stack = np.ascontiguousarray(mats.transpose(1, 2, 0))
+        spare = np.empty((d, d, n // 2), dtype=complex)
+        term = np.empty((d, d, chunk), dtype=complex)
+        assert np.array_equal(dynamics._tree_product(stack, spare, term), expected)
+    # np.matmul rounds each product its own way (BLAS kernels).
+    assert np.max(np.abs(_pairwise_reduction(mats, np.matmul) - expected)) <= 1e-13
+
+
+def test_tree_sweep_turns_a_broken_table_into_nan(monkeypatch, two_level_spec, two_level_faquad):
+    # Eigenvectors off unit length make the product non-unitary; the tree
+    # path checks the final norm as evolve does.
+    init = dynamics.MidpointTable.__init__
+
+    def scaled_init(self, *args):
+        init(self, *args)
+        self.eigvecs *= 1.0 + 1e-6
+
+    monkeypatch.setattr(dynamics.MidpointTable, "__init__", scaled_init)
+    points = [0.5, 1.0, 1.5]
+    curve = dynamics.fidelity_sweep(two_level_spec, two_level_faquad, points, n_steps=2048)
+    assert np.all(np.isnan(curve.population))
+    assert [point for point, _ in curve.failures] == points
+    assert all("norm drift" in message for _, message in curve.failures)
