@@ -9,8 +9,8 @@ values. Before any step runs, every key is checked against its one
 declaration in ``_FLAGS``: an unknown key, a value of the wrong type or
 out of its range, and a key that no step of the run reads without setting
 it itself are rejected. Exit codes: 0 success, 2 configuration error, 3
-numerical failure. The environment variable FAQUAD_WORKERS caps the
-number of concurrent sweep workers (default 1).
+numerical failure. The environment variable FAQUAD_WORKERS, checked with
+the config, caps the number of concurrent sweep workers (default 1).
 
 All CSV numbers are written with ``%.12g`` so that re-running an
 identical configuration reproduces byte-identical files.
@@ -239,7 +239,7 @@ def _tf_grid(sweep: dict) -> np.ndarray:
 
 
 class _Run:
-    """Outputs and manifest data of one invocation.
+    """Outputs, manifest data and sweep ``workers`` of one invocation.
 
     A figure preset runs several steps into one directory. While a step
     runs, ``tag`` holds its tag, which ``path`` and ``derive`` append to
@@ -247,8 +247,9 @@ class _Run:
     and ``c_tilde`` becomes ``c_tilde_faquad``.
     """
 
-    def __init__(self, out_dir, command, cfg):
+    def __init__(self, out_dir, command, cfg, workers):
         self.out_dir = out_dir
+        self.workers = workers
         self.tag = None
         self.started = time.monotonic()
         self.manifest = {
@@ -295,8 +296,7 @@ def _n_steps(cfg):
     return cfg.get("integrator", {}).get("n_steps")
 
 
-def _cmd_design(cfg, run):
-    spec = _build_spec(cfg["model"])
+def _cmd_design(cfg, spec, run):
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
     _write_csv(run.path("trajectory.csv"), "s,lambda", _trajectory_rows(traj))
     run.derive("kind", traj.kind)
@@ -307,8 +307,7 @@ def _cmd_design(cfg, run):
         run.derive("period", 2.0 * math.pi / phi)
 
 
-def _cmd_spectrum(cfg, run):
-    spec = _build_spec(cfg["model"])
+def _cmd_spectrum(cfg, spec, run):
     levels = cfg.get("levels", min(5, spec.dim))
     points = cfg.get("points", 161)
     grid = np.linspace(spec.lambda_start, spec.lambda_end, points)
@@ -323,8 +322,7 @@ def _cmd_spectrum(cfg, run):
         _write_csv(run.path("alpha.csv"), "lambda,n,alpha,energy", rows)
 
 
-def _cmd_evolve(cfg, run):
-    spec = _build_spec(cfg["model"])
+def _cmd_evolve(cfg, spec, run):
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
     sweep = cfg.get("sweep", {})
     if "tf" not in sweep:
@@ -334,10 +332,10 @@ def _cmd_evolve(cfg, run):
     start = cfg.get("start", _dynamics.GROUND)
 
     control = _protocol.rescale(traj, t_f)
-    psi0 = _dynamics._start_vector(spec, traj, start)
-    result = _dynamics.evolve(spec, control, psi0.astype(complex),
-                              n_steps=_n_steps(cfg), n_save=n_save)
-    proj = _dynamics.adiabatic_projection(spec, control, result)
+    psi0 = _dynamics._start_vector(traj, start)
+    result = _dynamics.evolve(control, psi0.astype(complex), n_steps=_n_steps(cfg),
+                              n_save=n_save)
+    proj = _dynamics.adiabatic_projection(result)
 
     rows = []
     for k, t in enumerate(proj.times):
@@ -353,14 +351,13 @@ def _cmd_evolve(cfg, run):
         run.derive("c_tilde", traj.c_tilde)
 
 
-def _cmd_sweep_tf(cfg, run):
-    spec = _build_spec(cfg["model"])
+def _cmd_sweep_tf(cfg, spec, run):
     traj = _build_trajectory(spec, cfg.get("protocol", {}))
     tf_grid = _tf_grid(cfg.get("sweep", {}))
     start = cfg.get("start", _dynamics.GROUND)
     target = cfg.get("target", 1)
-    curve = _dynamics.fidelity_sweep(spec, traj, tf_grid, start=start, target=target,
-                                     n_steps=_n_steps(cfg), workers=_workers())
+    curve = _dynamics.fidelity_sweep(traj, tf_grid, start=start, target=target,
+                                     n_steps=_n_steps(cfg), workers=run.workers)
     if np.all(np.isnan(curve.population)):
         raise FaquadError("every sweep point failed")
 
@@ -377,8 +374,7 @@ def _cmd_sweep_tf(cfg, run):
         _write_csv(run.path("prediction.csv"), "tf,predicted_infidelity,envelope", rows)
 
 
-def _cmd_sweep_eps(cfg, run):
-    spec = _build_spec(cfg["model"])
+def _cmd_sweep_eps(cfg, spec, run):
     if spec.kind != _model.RING:
         raise ConfigError("sweep-eps is defined for the ring model")
     sweep = cfg.get("sweep", {})
@@ -391,8 +387,8 @@ def _cmd_sweep_eps(cfg, run):
     trajs = _build_trajectories(spec, cfg.get("protocol", {}), [(N, N + 1) for N in ns])
     rows = []
     for N, traj in zip(ns, trajs):
-        curve = _tg.epsilon_sweep(spec, N, traj, t_f, epsilons, n_steps=_n_steps(cfg),
-                                  workers=_workers())
+        curve = _tg.epsilon_sweep(N, traj, t_f, epsilons, n_steps=_n_steps(cfg),
+                                  workers=run.workers)
         rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
         run.failures({"N": N, "epsilon": e, "error": m} for e, m in curve.failures)
         if traj.c_tilde is not None:
@@ -410,27 +406,25 @@ def _ring_designs(spec, ns):
     return _build_trajectories(spec, {}, [(N, N + 1) for N in ns])
 
 
-def _figure_ring_trajectories(cfg, run):
+def _figure_ring_trajectories(cfg, spec, run):
     """The FAQUAD schedule of each N, one trajectory_N<N>.csv apiece."""
-    spec = _build_spec(cfg["model"])
     ns = cfg["sweep"]["N"]
     for N, traj in zip(ns, _ring_designs(spec, ns)):
         _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", _trajectory_rows(traj))
         run.derive(f"c_tilde_N{N}", traj.c_tilde)
 
 
-def _figure_tg_duration(cfg, run):
+def _figure_tg_duration(cfg, spec, run):
     """Many-body fidelity against duration for each N, FAQUAD and linear,
     all in one tg_sweep.csv. The linear ramp is the same for every N, so
     one sweep serves all its fillings."""
-    spec = _build_spec(cfg["model"])
     tf_grid = _tf_grid(cfg["sweep"])
     ns = cfg["sweep"]["N"]
     designs = _ring_designs(spec, ns)
 
     def sweep(traj, fillings):
-        return _tg.duration_sweep(spec, fillings, traj, tf_grid, n_steps=_n_steps(cfg),
-                                  workers=_workers())
+        return _tg.duration_sweep(fillings, traj, tf_grid, n_steps=_n_steps(cfg),
+                                  workers=run.workers)
 
     linear = dict(zip(ns, sweep(_build_trajectory(spec, {"kind": "linear"}), ns)))
     rows = []
@@ -566,9 +560,10 @@ def _reject_unread_keys(cfg: dict, command: str, steps) -> None:
             raise ConfigError(f"no step of {command} reads config.{key} without setting it")
 
 
-def _step_config(cfg: dict, overrides: dict) -> dict:
-    """``cfg`` with a step's ``overrides`` laid over it, checked key by key
-    and by the checks that involve two keys."""
+def _step_config(cfg: dict, overrides: dict):
+    """(config, model) of a step: ``cfg`` with the step's ``overrides`` laid
+    over it, checked key by key and by the checks that involve two keys,
+    and the ModelSpec that its model section builds."""
     step_cfg = _overlay(cfg, overrides)
     _validate_config(step_cfg)
     spec = _build_spec(step_cfg["model"])
@@ -583,23 +578,24 @@ def _step_config(cfg: dict, overrides: dict) -> dict:
         if level != _dynamics.GROUND and level > spec.dim:
             raise ConfigError(f"config.{key} must be <= {spec.dim}, the dimension of "
                               f"the {spec.kind} model, got {level}")
-    return step_cfg
+    return step_cfg, spec
 
 
 def run_steps(command: str, cfg: dict, steps) -> int:
     """Run ``steps`` (see ``builtin_figures``) on ``cfg`` into its
     ``output_dir`` (default DEFAULT_OUTPUT_DIR), with one manifest for them
-    all. A subcommand is a single untagged step. Every key and value is
-    checked before the first step runs."""
+    all. A subcommand is a single untagged step. Every key and value, and
+    FAQUAD_WORKERS, is checked before the first step runs, and each step
+    is handed its config and the model that config builds."""
     _validate_config(cfg)
     _reject_unread_keys(cfg, command, steps)
-    configs = [(name, _step_config(cfg, overrides), tag) for name, overrides, tag in steps]
+    configs = [(name, *_step_config(cfg, overrides), tag) for name, overrides, tag in steps]
     cfg = dict(cfg)
-    run = _Run(cfg.pop("output_dir", DEFAULT_OUTPUT_DIR), command, cfg)
+    run = _Run(cfg.pop("output_dir", DEFAULT_OUTPUT_DIR), command, cfg, _workers())
     run.manifest["steps"] = steps
-    for name, step_cfg, tag in configs:
+    for name, step_cfg, spec, tag in configs:
         run.tag = tag
-        _STEPS[name](step_cfg, run)
+        _STEPS[name](step_cfg, spec, run)
     return run.finish()
 
 

@@ -11,6 +11,10 @@ normalized clock s = (k + 1/2)/n_steps, so the eigendecompositions can
 be tabulated once per (trajectory, n_steps) and reused across all
 durations of a sweep.
 
+Every function here reads the model from the trajectory, timed control
+or evolution result it is given (``traj.spec``), so a model and a schedule
+made for another model cannot be combined.
+
 Small systems collapse the whole product of step propagators with a
 pairwise tree reduction instead of a Python loop over steps. The product
 is regrouped as
@@ -45,10 +49,11 @@ MIN_STEPS = 2000
 TABLE_ENTRY_BUDGET = 60_000_000
 # Dimension at or below which sweeps collapse step propagators by tree
 # product instead of streaming matrix-vector products. The elementwise tree
-# does d^3 vector multiply-adds per level; it beats a stacked-matmul tree
-# up to d = 4 and loses from d = 5. Only library ring models with K <= 3
-# reach d = 5..8, and they stream.
-TREE_PRODUCT_MAX_DIM = 4
+# does d^3 vector multiply-adds per level, so its lead shrinks as d grows:
+# with one BLAS thread at 20000 steps per duration it took a quarter or less
+# of the streaming time at d = 5 and at most about half at d = 7 (ring
+# models with K = 2 and 3).
+TREE_PRODUCT_MAX_DIM = 8
 _CHUNK = 512
 # Factor pairs per vector operation of the tree product; bounds its scratch.
 _TREE_CHUNK = 4096
@@ -117,16 +122,16 @@ def bare_state(spec: _model.ModelSpec, index: int) -> np.ndarray:
     return psi
 
 
-def default_n_steps(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory,
-                    t_f: float, pair=None) -> int:
+def default_n_steps(traj: _protocol.NormalizedTrajectory, t_f: float, pair=None) -> int:
     """Step count resolving the fastest pair phase: max(2000,
     ceil(200 * t_f * max_gap / 2 pi)) with the gap probed along the
-    trajectory for the designed (or given) level pair."""
+    trajectory for the designed (or given) level pair, in either order."""
     if pair is None:
         pair = traj.pair if traj.pair is not None else (1, 2)
+    lower, upper = _spectral._canonical_pair(pair, traj.spec.dim)
     lams = np.unique(traj.evaluate(np.linspace(0.0, 1.0, 129)))
-    energies = np.linalg.eigvalsh(_model.hamiltonian(spec, lams))
-    gap_max = float(np.max(energies[:, pair[1] - 1] - energies[:, pair[0] - 1]))
+    energies = np.linalg.eigvalsh(_model.hamiltonian(traj.spec, lams))
+    gap_max = float(np.max(energies[:, upper - 1] - energies[:, lower - 1]))
     return int(max(MIN_STEPS, math.ceil(200.0 * t_f * gap_max / (2.0 * math.pi))))
 
 
@@ -148,17 +153,14 @@ class MidpointTable:
     midpoints sit at s = (k + 1/2)/n_steps regardless of t_f.
     """
 
-    def __init__(self, spec, traj, n_steps):
+    def __init__(self, traj, n_steps):
+        dim = traj.spec.dim
         self.n_steps = int(n_steps)
         self.lams = _midpoint_controls(traj, self.n_steps)
-        self.eigvals = np.empty((self.n_steps, spec.dim))
-        self.eigvecs = np.empty((self.n_steps, spec.dim, spec.dim))
-        for lo, w, v in _midpoint_eigh(spec, self.lams):
+        self.eigvals = np.empty((self.n_steps, dim))
+        self.eigvecs = np.empty((self.n_steps, dim, dim))
+        for lo, w, v in _midpoint_eigh(traj.spec, self.lams):
             self.eigvals[lo : lo + len(w)], self.eigvecs[lo : lo + len(w)] = w, v
-
-    @classmethod
-    def fits(cls, spec, n_steps) -> bool:
-        return n_steps * spec.dim * spec.dim <= TABLE_ENTRY_BUDGET
 
 
 class StepOverlaps:
@@ -243,19 +245,19 @@ def _check_norm(states: np.ndarray, axis: int) -> float:
     return drift
 
 
-def evolve(spec: _model.ModelSpec, control: _protocol.TimedControl, psi0,
-           n_steps: int | None = None, n_save: int = 401,
-           table: MidpointTable | None = None) -> EvolutionResult:
+def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
+           n_save: int = 401, table: MidpointTable | None = None) -> EvolutionResult:
     """Propagate psi0 (a vector, or a (dim, m) stack of column states)
-    from t = 0 to t = control.t_f.
+    from t = 0 to t = control.t_f under the model of its trajectory.
 
     Norm drift beyond 1e-9 raises StepSizeTooCoarse; the stepping is
     exactly unitary, so drift signals numerical breakdown rather than
     ordinary discretization error.
     """
     traj = control.trajectory
+    spec = traj.spec
     if n_steps is None:
-        n_steps = table.n_steps if table is not None else default_n_steps(spec, traj, control.t_f)
+        n_steps = table.n_steps if table is not None else default_n_steps(traj, control.t_f)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -317,20 +319,20 @@ def final_population(result: EvolutionResult, target_index: int) -> float:
     return float(np.abs(psi[target_index - 1]) ** 2)
 
 
-def _start_vector(spec, traj, start):
+def _start_vector(traj, start):
     if start == GROUND:
-        return _spectral.eigenstate(spec, float(traj.evaluate(0.0)), 1)
-    return bare_state(spec, int(start))
+        return _spectral.eigenstate(traj.spec, float(traj.evaluate(0.0)), 1)
+    return bare_state(traj.spec, int(start))
 
 
-def _population_of(spec, traj, target, psi):
+def _population_of(traj, target, psi):
     if target == GROUND:
-        phi = _spectral.eigenstate(spec, float(traj.evaluate(1.0)), 1)
+        phi = _spectral.eigenstate(traj.spec, float(traj.evaluate(1.0)), 1)
         return float(np.abs(np.vdot(phi, psi)) ** 2)
     return float(np.abs(psi[int(target) - 1]) ** 2)
 
 
-def _final_states(spec, traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
+def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     """(n_steps, final): final(t_f) is psi0, a vector or a (dim, m) stack,
     evolved along ``traj`` played over t_f. All durations share the step
     count (by default the largest rule of ``pairs`` at the longest one) and
@@ -340,24 +342,24 @@ def _final_states(spec, traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     if np.any(tf_arr <= 0):
         raise ValueError("all durations must be positive")
     if n_steps is None:
-        n_steps = max(default_n_steps(spec, traj, float(np.max(tf_arr)), pair=pair)
+        n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)
     n_steps = int(n_steps)
-    fits = MidpointTable.fits(spec, n_steps)
-    if fits and spec.dim <= TREE_PRODUCT_MAX_DIM:
-        steps = StepOverlaps(MidpointTable(spec, traj, n_steps))
+    dim = traj.spec.dim
+    fits = n_steps * dim * dim <= TABLE_ENTRY_BUDGET
+    if fits and dim <= TREE_PRODUCT_MAX_DIM:
+        steps = StepOverlaps(MidpointTable(traj, n_steps))
 
         def final(t_f):
             state = _total_propagator(steps, t_f / n_steps) @ psi0
             _check_norm(state, axis=0)
             return state
     else:
-        table = MidpointTable(spec, traj, n_steps) if fits else None
+        table = MidpointTable(traj, n_steps) if fits else None
 
         def final(t_f):
             control = _protocol.rescale(traj, t_f)
-            return evolve(spec, control, psi0, n_steps=n_steps, n_save=2,
-                          table=table).final_state
+            return evolve(control, psi0, n_steps=n_steps, n_save=2, table=table).final_state
 
     return n_steps, final
 
@@ -383,9 +385,9 @@ def _sweep(points, run_point, workers=1, shape=()):
     return values, [failure for failure in outcomes if failure is not None]
 
 
-def fidelity_sweep(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory,
-                   tf_list, start=GROUND, target: int | str = 1,
-                   n_steps: int | None = None, workers: int = 1) -> SweepCurve:
+def fidelity_sweep(traj: _protocol.NormalizedTrajectory, tf_list, start=GROUND,
+                   target: int | str = 1, n_steps: int | None = None,
+                   workers: int = 1) -> SweepCurve:
     """Final population versus duration for one normalized trajectory.
 
     ``start`` and ``target`` are 1-based bare indices, or "ground" for
@@ -395,16 +397,16 @@ def fidelity_sweep(spec: _model.ModelSpec, traj: _protocol.NormalizedTrajectory,
     Per-point numerical failures are collected, not fatal.
     """
     tf_arr = np.asarray(list(tf_list), dtype=float)
-    psi0 = _start_vector(spec, traj, start).astype(complex)
-    n_steps, final = _final_states(spec, traj, psi0, tf_arr, n_steps)
+    psi0 = _start_vector(traj, start).astype(complex)
+    n_steps, final = _final_states(traj, psi0, tf_arr, n_steps)
     population, failures = _sweep(
-        tf_arr, lambda t_f: _population_of(spec, traj, target, final(t_f)), workers)
+        tf_arr, lambda t_f: _population_of(traj, target, final(t_f)), workers)
     return SweepCurve(tf=tf_arr, population=population, failures=failures, n_steps=n_steps)
 
 
-def adiabatic_projection(spec: _model.ModelSpec, control: _protocol.TimedControl,
-                         result: EvolutionResult, pairs=((1, 2),)) -> AdiabaticProjection:
-    """Project sampled states onto the instantaneous eigenbasis.
+def adiabatic_projection(result: EvolutionResult, pairs=((1, 2),)) -> AdiabaticProjection:
+    """Project the states sampled along ``result.control`` onto the
+    instantaneous eigenbasis of its model.
 
     Frames along the control are sign-fixed for continuity, starting
     from the deterministic gauge of ``eigenstate``; the dynamical phase
@@ -414,8 +416,9 @@ def adiabatic_projection(spec: _model.ModelSpec, control: _protocol.TimedControl
     if result.states.ndim != 2:
         raise ValueError("projection is defined for single-state evolutions")
     times = result.times
+    control = result.control
     lams = control.value(times)
-    energies, vectors = np.linalg.eigh(_model.hamiltonian(spec, lams))
+    energies, vectors = np.linalg.eigh(_model.hamiltonian(control.trajectory.spec, lams))
     vectors[0] = _spectral.gauge_fix_columns(vectors[0])
     for k in range(1, len(times)):
         vectors[k] = _spectral.sign_fix(vectors[k], vectors[k - 1])

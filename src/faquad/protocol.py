@@ -47,8 +47,6 @@ CONSTANT = "constant"
 SWEEP_KINDS = (FAQUAD, LOCAL_ADIABATIC, UNIFORM_ADIABATIC, LINEAR)
 KINDS = SWEEP_KINDS + (CONSTANT,)
 
-DESIGNED_KINDS = (FAQUAD, LOCAL_ADIABATIC, UNIFORM_ADIABATIC)
-
 DEFAULT_GRID_POINTS = 2001
 
 
@@ -167,7 +165,7 @@ def _pair_track(spec, pair, grid_points, track) -> _spectral.FrameTrack:
     return track
 
 
-def _design_from_weight(spec, grid, weight, kind, pair, c_tilde_sign=1.0) -> NormalizedTrajectory:
+def _design_from_weight(spec, grid, weight, kind, pair) -> NormalizedTrajectory:
     """Shared separable-quadrature core: cumulative trapezoid of a
     non-negative weight over arc length, then monotone inversion."""
     weight = np.asarray(weight, dtype=float)
@@ -189,8 +187,8 @@ def _design_from_weight(spec, grid, weight, kind, pair, c_tilde_sign=1.0) -> Nor
         spec=spec,
         s_grid=s,
         values=grid.copy(),
-        c_tilde=float(c_tilde_sign * total),
-        pair=tuple(pair) if pair is not None else None,
+        c_tilde=float(total),
+        pair=tuple(pair),
     )
 
 

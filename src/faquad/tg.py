@@ -9,7 +9,8 @@ magnitude of a many-body overlap reduces to
 
 with A, B the (dim x N) orbital matrices (Cauchy-Binet). Everything
 heavy therefore happens at the single-particle level: one propagator
-evolves the whole orbital stack at once.
+evolves the whole orbital stack at once. The evolutions and sweeps take
+the ring model from the trajectory or timed control they are given.
 """
 
 from __future__ import annotations
@@ -81,12 +82,10 @@ def target_stack(spec: _model.ModelSpec, N: int) -> OrbitalStack:
     return stack_at(spec, spec.lambda_end, N)
 
 
-def evolve_stack(stack: OrbitalStack, spec: _model.ModelSpec,
-                 control: _protocol.TimedControl, n_steps: int | None = None,
-                 table: _dynamics.MidpointTable | None = None) -> OrbitalStack:
+def evolve_stack(stack: OrbitalStack, control: _protocol.TimedControl,
+                 n_steps: int | None = None) -> OrbitalStack:
     """Evolve every orbital with the same single-particle propagator."""
-    result = _dynamics.evolve(spec, control, stack.orbitals, n_steps=n_steps,
-                              n_save=2, table=table)
+    result = _dynamics.evolve(control, stack.orbitals, n_steps=n_steps, n_save=2)
     return OrbitalStack(orbitals=result.final_state, t=control.t_f)
 
 
@@ -98,18 +97,18 @@ def tg_fidelity(evolved: OrbitalStack, target: OrbitalStack) -> float:
     return float(np.abs(np.linalg.det(overlap)))
 
 
-def duration_sweep(spec: _model.ModelSpec, Ns, traj: _protocol.NormalizedTrajectory,
-                   tf_list, n_steps: int | None = None,
-                   workers: int = 1) -> list[ManyBodyFidelityCurve]:
+def duration_sweep(Ns, traj: _protocol.NormalizedTrajectory, tf_list,
+                   n_steps: int | None = None, workers: int = 1) -> list[ManyBodyFidelityCurve]:
     """Many-body fidelity to the final-control ground state versus t_f,
     one curve per filling N in ``Ns``. One stack of the largest N evolves;
     the leading N orbitals of it are the evolved stack of N."""
+    spec = traj.spec
     for N in Ns:
         _check_odd_n(spec, N)
     tf_arr = np.asarray(list(tf_list), dtype=float)
     start = initial_stack(spec, max(Ns))
     targets = [target_stack(spec, N) for N in Ns]
-    _, final = _dynamics._final_states(spec, traj, start.orbitals, tf_arr, n_steps,
+    _, final = _dynamics._final_states(traj, start.orbitals, tf_arr, n_steps,
                                        pairs=[(N, N + 1) for N in Ns])
 
     def fidelities(t_f):
@@ -123,9 +122,9 @@ def duration_sweep(spec: _model.ModelSpec, Ns, traj: _protocol.NormalizedTraject
             for j, N in enumerate(Ns)]
 
 
-def epsilon_sweep(spec: _model.ModelSpec, N: int, traj: _protocol.NormalizedTrajectory,
-                  t_f: float, epsilons=DEFAULT_EPSILONS,
-                  n_steps: int | None = None, workers: int = 1) -> ManyBodyFidelityCurve:
+def epsilon_sweep(N: int, traj: _protocol.NormalizedTrajectory, t_f: float,
+                  epsilons=DEFAULT_EPSILONS, n_steps: int | None = None,
+                  workers: int = 1) -> ManyBodyFidelityCurve:
     """Fidelity under a miscalibrated drive Omega_e(t) = Omega(t) (1 + eps).
 
     The drive then ends at lambda_end * (1 + eps), away from the target
@@ -133,18 +132,19 @@ def epsilon_sweep(spec: _model.ModelSpec, N: int, traj: _protocol.NormalizedTraj
     state at the nominal final control. eps = -1 freezes the control at
     zero; values below -1 are rejected.
     """
+    spec = traj.spec
     _check_odd_n(spec, N)
     eps_arr = np.asarray(list(epsilons), dtype=float)
     if np.any(eps_arr < -1.0):
         raise ValueError("calibration errors must satisfy eps >= -1")
     if n_steps is None:
-        n_steps = _dynamics.default_n_steps(spec, traj, float(t_f), pair=(N, N + 1))
+        n_steps = _dynamics.default_n_steps(traj, float(t_f), pair=(N, N + 1))
     start = initial_stack(spec, N)
     target = target_stack(spec, N)
 
     def fidelity_at(eps):
         control = _protocol.rescale(traj.scaled(1.0 + float(eps)), float(t_f))
-        return tg_fidelity(evolve_stack(start, spec, control, n_steps=n_steps), target)
+        return tg_fidelity(evolve_stack(start, control, n_steps=n_steps), target)
 
     fidelity, failures = _dynamics._sweep(eps_arr, fidelity_at, workers)
     return ManyBodyFidelityCurve(abscissa=eps_arr, fidelity=fidelity, N=N,

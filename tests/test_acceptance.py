@@ -53,9 +53,9 @@ def test_criterion_01_faquad_beats_local_adiabatic(two_level_spec):
     la = protocol.design_local_adiabatic(two_level_spec)
     grid_fq = np.linspace(1.0, 2.0, 201)
     grid_la = np.linspace(3.5, 4.8, 261)
-    pop_fq = dynamics.fidelity_sweep(two_level_spec, fq, grid_fq, start="ground",
+    pop_fq = dynamics.fidelity_sweep(fq, grid_fq, start="ground",
                                      target="ground", n_steps=8192).population
-    pop_la = dynamics.fidelity_sweep(two_level_spec, la, grid_la, start="ground",
+    pop_la = dynamics.fidelity_sweep(la, grid_la, start="ground",
                                      target="ground", n_steps=8192).population
     t_fq = _first_crossing(grid_fq, pop_fq, 0.9998)
     t_la = _first_crossing(grid_la, pop_la, 0.9998)
@@ -68,11 +68,11 @@ def test_criterion_01_faquad_beats_local_adiabatic(two_level_spec):
 
 
 def test_criterion_02_revival_spacing_matches_phase_integral(
-        two_level_spec, two_level_faquad):
+        two_level_faquad):
     phi = perturbation.phase_integral(two_level_faquad)
     period = 2.0 * math.pi / phi
     grid = np.linspace(0.9, 7.7, 1701)
-    pop = dynamics.fidelity_sweep(two_level_spec, two_level_faquad, grid,
+    pop = dynamics.fidelity_sweep(two_level_faquad, grid,
                                   start="ground", target=1, n_steps=8192).population
     peaks = [t for t, _ in _local_maxima(grid, pop, floor=0.99)]
     spacings = np.diff(peaks)
@@ -85,7 +85,7 @@ def test_criterion_02_revival_spacing_matches_phase_integral(
 
 def test_criterion_03_splitting_durations(splitting_spec, splitting_faquad):
     grid = np.linspace(0.7, 1.9, 241)
-    pop = dynamics.fidelity_sweep(splitting_spec, splitting_faquad, grid,
+    pop = dynamics.fidelity_sweep(splitting_faquad, grid,
                                   start="ground", target=2, n_steps=32768).population
     peaks = _local_maxima(grid, pop, floor=0.995)
     ok = len(peaks) > 0
@@ -96,13 +96,13 @@ def test_criterion_03_splitting_durations(splitting_spec, splitting_faquad):
     # up through 0.998, so locate the coarse crossing and refine the lobe
     lin = protocol.linear_ramp(splitting_spec)
     grid_lin = np.linspace(38.0, 50.0, 241)
-    pop_lin = dynamics.fidelity_sweep(splitting_spec, lin, grid_lin, start="ground",
+    pop_lin = dynamics.fidelity_sweep(lin, grid_lin, start="ground",
                                       target=2, n_steps=16384).population
     t_coarse = _first_crossing(grid_lin, pop_lin, 0.998)
     t_lin, p_lin = None, float("nan")
     if t_coarse is not None:
         fine = np.linspace(t_coarse - 0.15, t_coarse + 0.15, 61)
-        pop_fine = dynamics.fidelity_sweep(splitting_spec, lin, fine, start="ground",
+        pop_fine = dynamics.fidelity_sweep(lin, fine, start="ground",
                                            target=2, n_steps=16384).population
         j = int(np.argmax(pop_fine))
         t_lin, p_lin = float(fine[j]), float(pop_fine[j])
@@ -113,7 +113,7 @@ def test_criterion_03_splitting_durations(splitting_spec, splitting_faquad):
 
 def test_criterion_04_cotunneling_durations(cotunneling_spec, cotunneling_faquad):
     grid = np.linspace(1.8, 3.2, 351)
-    pop = dynamics.fidelity_sweep(cotunneling_spec, cotunneling_faquad, grid,
+    pop = dynamics.fidelity_sweep(cotunneling_faquad, grid,
                                   start="ground", target=1, n_steps=32768).population
     peaks = _local_maxima(grid, pop, floor=0.995)
     ok = len(peaks) > 0
@@ -122,7 +122,7 @@ def test_criterion_04_cotunneling_durations(cotunneling_spec, cotunneling_faquad
 
     lin = protocol.linear_ramp(cotunneling_spec)
     grid_lin = np.linspace(57.0, 73.0, 161)
-    pop_lin = dynamics.fidelity_sweep(cotunneling_spec, lin, grid_lin, start="ground",
+    pop_lin = dynamics.fidelity_sweep(lin, grid_lin, start="ground",
                                       target=1, n_steps=32768).population
     t_lin = _first_crossing(grid_lin, pop_lin, 0.998)
     ok = ok and t_lin is not None and 57.0 <= t_lin <= 73.0
@@ -131,7 +131,7 @@ def test_criterion_04_cotunneling_durations(cotunneling_spec, cotunneling_faquad
     # near the antinode t = 2.5 T falls below 1 - 4 c_tilde^2 / t_f^2
     pred = perturbation.predict(cotunneling_faquad)
     dip_grid = np.linspace(2.5 * pred.period - 0.6, 2.5 * pred.period + 0.6, 31)
-    dip = dynamics.fidelity_sweep(cotunneling_spec, cotunneling_faquad, dip_grid,
+    dip = dynamics.fidelity_sweep(cotunneling_faquad, dip_grid,
                                   start="ground", target=1, n_steps=16384).population
     i = int(np.nanargmin(dip))
     floor = 1.0 - pred.envelope(float(dip_grid[i]))
@@ -142,8 +142,8 @@ def test_criterion_04_cotunneling_durations(cotunneling_spec, cotunneling_faquad
     t_f = 1.5 * pred.period
     control = protocol.rescale(cotunneling_faquad, t_f)
     psi0 = spectral.eigenstate(cotunneling_spec, 66.7, level=1).astype(complex)
-    res = dynamics.evolve(cotunneling_spec, control, psi0, n_steps=16384, n_save=401)
-    proj = dynamics.adiabatic_projection(cotunneling_spec, control, res)
+    res = dynamics.evolve(control, psi0, n_steps=16384, n_save=401)
+    proj = dynamics.adiabatic_projection(res)
     g3 = np.abs(proj.g[:, 2]) ** 2
     k = int(np.argmax(g3))
     lam_at_max = float(control.value(proj.times[k]))
@@ -161,15 +161,15 @@ def test_criterion_05_infidelity_envelope_and_zeros(two_level_spec, two_level_fa
 
     # (a) beyond the first revival the excited-state weight stays under
     # 1.2 x the first-order envelope at the antinodes
-    table = dynamics.MidpointTable(two_level_spec, two_level_faquad, 8192)
+    table = dynamics.MidpointTable(two_level_faquad, 8192)
     psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
     ratios = []
     for k in range(1, 7):
         t_f = (k + 0.5) * period
         control = protocol.rescale(two_level_faquad, t_f)
-        res = dynamics.evolve(two_level_spec, control, psi0, n_steps=8192,
+        res = dynamics.evolve(control, psi0, n_steps=8192,
                               n_save=2, table=table)
-        proj = dynamics.adiabatic_projection(two_level_spec, control, res)
+        proj = dynamics.adiabatic_projection(res)
         g2 = float(np.abs(proj.g[-1, 1]) ** 2)
         ratios.append(g2 / pred.envelope(t_f))
     envelope_ok = bool(np.max(ratios) <= 1.2)
@@ -184,7 +184,7 @@ def test_criterion_05_infidelity_envelope_and_zeros(two_level_spec, two_level_fa
     # first-order zeros k 2pi/Phi are its t_f >> 2 c~ limit and come
     # 0.117 T late at k = 1, so the check is against t_k.
     grid = np.linspace(0.9, 9.3, 2101)
-    pop = dynamics.fidelity_sweep(two_level_spec, two_level_faquad, grid,
+    pop = dynamics.fidelity_sweep(two_level_faquad, grid,
                                   start="ground", target="ground", n_steps=8192).population
     maxima = np.array([t for t, _ in _local_maxima(grid, pop, floor=0.9)])
     offsets = []
@@ -225,9 +225,9 @@ def test_criterion_06_ring_spectrum_against_roots():
 
 
 def test_criterion_07_many_body_faquad_insensitive_to_filling(
-        ring_spec, ring_faquad_n3, ring_faquad_n9, ring_linear):
+        ring_faquad_n3, ring_faquad_n9, ring_linear):
     def plateau(Ns, traj):
-        curves = tg.duration_sweep(ring_spec, Ns, traj, [RING_TF_PLATEAU], n_steps=RING_N_STEPS)
+        curves = tg.duration_sweep(Ns, traj, [RING_TF_PLATEAU], n_steps=RING_N_STEPS)
         return [curve.fidelity[0] for curve in curves]
 
     (f3,) = plateau([3], ring_faquad_n3)
@@ -240,11 +240,11 @@ def test_criterion_07_many_body_faquad_insensitive_to_filling(
 
 
 def test_criterion_08_calibration_error_sweep_peaks_at_zero(
-        ring_spec, ring_faquad_n3, ring_faquad_n9):
+        ring_faquad_n3, ring_faquad_n9):
     details = []
     ok = True
     for N, traj in ((3, ring_faquad_n3), (9, ring_faquad_n9)):
-        curve = tg.epsilon_sweep(ring_spec, N, traj, RING_TF_PLATEAU,
+        curve = tg.epsilon_sweep(N, traj, RING_TF_PLATEAU,
                                  epsilons=(-0.1, -0.05, 0.0, 0.05, 0.1),
                                  n_steps=RING_N_STEPS)
         fid = curve.fidelity
@@ -260,7 +260,7 @@ def test_criterion_09_property_suite(two_level_spec, two_level_faquad):
 
     control = protocol.rescale(two_level_faquad, 3.0)
     psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
-    res = dynamics.evolve(two_level_spec, control, psi0, n_steps=4096)
+    res = dynamics.evolve(control, psi0, n_steps=4096)
     checks["unitarity<1e-9"] = res.norm_drift < 1e-9
 
     profile = protocol.adiabaticity_profile(two_level_faquad)
@@ -292,7 +292,7 @@ def test_criterion_09_property_suite(two_level_spec, two_level_faquad):
 
     const = protocol.constant_protocol(two_level_spec, 22.3)
     times = np.linspace(1.10, 1.12, 2001)
-    curve = dynamics.fidelity_sweep(two_level_spec, const, times,
+    curve = dynamics.fidelity_sweep(const, times,
                                     start=1, target=2, n_steps=512)
     t_star = float(times[np.argmax(curve.population)])
     target = math.pi / (2.0 * math.sqrt(2.0))

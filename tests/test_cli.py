@@ -219,6 +219,21 @@ def test_workers_env_does_not_change_results(tmp_path, monkeypatch, args, csv):
     assert (a / csv).read_bytes() == (b / csv).read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["figure", "fig6a", "--tf-count", "2"],
+    ["design", *TWO_LEVEL_FLAGS],
+], ids=["fig6a", "design"])
+def test_malformed_workers_env_is_rejected_before_any_step(tmp_path, monkeypatch, capsys, args):
+    from faquad import spectral
+    calls = []
+    monkeypatch.setattr(spectral, "track_frames", lambda *a, **k: calls.append(a))
+    monkeypatch.setenv("FAQUAD_WORKERS", "x")
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert "FAQUAD_WORKERS" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("sweep-tf", "sweep", "tf_count", "x"),
     ("sweep-tf", "protocol", "kind", ["faquad"]),

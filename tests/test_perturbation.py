@@ -53,20 +53,20 @@ def test_prediction_identities(two_level_faquad):
     assert perturbation.predicted_infidelity(pred, t) == pytest.approx(pred.envelope(t), rel=1e-6)
 
 
-def test_prediction_tracks_projection(two_level_spec, two_level_faquad):
+def test_prediction_tracks_projection(two_level_faquad):
     # |g_2(t_f)|^2 at an envelope antinode agrees with the first-order
     # formula within 20%.
     pred = perturbation.predict(two_level_faquad)
     t_f = 2.5 * pred.period
     control = protocol.rescale(two_level_faquad, t_f)
-    psi0 = dynamics._start_vector(two_level_spec, two_level_faquad, "ground").astype(complex)
-    result = dynamics.evolve(two_level_spec, control, psi0, n_steps=8192)
-    proj = dynamics.adiabatic_projection(two_level_spec, control, result)
+    psi0 = dynamics._start_vector(two_level_faquad, "ground").astype(complex)
+    result = dynamics.evolve(control, psi0, n_steps=8192)
+    proj = dynamics.adiabatic_projection(result)
     measured = float(np.abs(proj.g_level(2)[-1]) ** 2)
     assert measured == pytest.approx(perturbation.predicted_infidelity(pred, t_f), rel=0.2)
 
 
-def test_cotunneling_dips_below_the_lower_envelope(cotunneling_spec, cotunneling_faquad):
+def test_cotunneling_dips_below_the_lower_envelope(cotunneling_faquad):
     # Negative control: near the antinode t_f = 2.5 T the cotunneling
     # fidelity falls below 1 - envelope, i.e. the first-order two-level
     # picture underestimates the loss because the third level
@@ -74,7 +74,7 @@ def test_cotunneling_dips_below_the_lower_envelope(cotunneling_spec, cotunneling
     pred = perturbation.predict(cotunneling_faquad)
     t_mid = 2.5 * pred.period
     tf_grid = np.linspace(t_mid - 0.6, t_mid + 0.6, 31)
-    curve = dynamics.fidelity_sweep(cotunneling_spec, cotunneling_faquad, tf_grid,
+    curve = dynamics.fidelity_sweep(cotunneling_faquad, tf_grid,
                                     start="ground", target=1, n_steps=16384)
     i = int(np.nanargmin(curve.population))
     floor = 1.0 - pred.envelope(float(tf_grid[i]))

@@ -89,14 +89,14 @@ def test_fidelity_shape_mismatch_rejected():
 def test_short_evolution_keeps_stack(ring_spec, ring_faquad_n3):
     start = tg.initial_stack(ring_spec, 3)
     control = protocol.rescale(ring_faquad_n3, 1e-9)
-    evolved = tg.evolve_stack(start, ring_spec, control, n_steps=2000)
+    evolved = tg.evolve_stack(start, control, n_steps=2000)
     assert tg.tg_fidelity(evolved, start) > 1.0 - 1e-8
 
 
 def test_gram_preserved_under_evolution(ring_spec, ring_faquad_n3):
     start = tg.initial_stack(ring_spec, 3)
     control = protocol.rescale(ring_faquad_n3, 10.0)
-    evolved = tg.evolve_stack(start, ring_spec, control, n_steps=2000)
+    evolved = tg.evolve_stack(start, control, n_steps=2000)
     assert evolved.gram_error() < 1e-8
     assert evolved.t == 10.0
 
@@ -104,8 +104,8 @@ def test_gram_preserved_under_evolution(ring_spec, ring_faquad_n3):
 def test_single_particle_limit_matches_fidelity_sweep(ring_spec):
     traj = protocol.design_faquad(ring_spec, pair=(1, 2))
     tf_list = [30.0, 60.0]
-    (many,) = tg.duration_sweep(ring_spec, [1], traj, tf_list, n_steps=2000)
-    single = dynamics.fidelity_sweep(ring_spec, traj, tf_list, start="ground",
+    (many,) = tg.duration_sweep([1], traj, tf_list, n_steps=2000)
+    single = dynamics.fidelity_sweep(traj, tf_list, start="ground",
                                      target="ground", n_steps=2000)
     assert np.max(np.abs(many.fidelity - np.sqrt(single.population))) < 1e-10
 
@@ -113,19 +113,19 @@ def test_single_particle_limit_matches_fidelity_sweep(ring_spec):
 def test_epsilon_sweep_reference_points(ring_spec, ring_faquad_n3):
     # eps = -1 freezes the control at zero, so the fidelity must equal
     # the static overlap between the initial and target stacks.
-    curve = tg.epsilon_sweep(ring_spec, 3, ring_faquad_n3, 90.0,
+    curve = tg.epsilon_sweep(3, ring_faquad_n3, 90.0,
                              epsilons=[-1.0], n_steps=2000)
     static = tg.tg_fidelity(tg.initial_stack(ring_spec, 3),
                             tg.target_stack(ring_spec, 3))
     assert curve.fidelity[0] == pytest.approx(static, abs=1e-9)
 
     with pytest.raises(ValueError):
-        tg.epsilon_sweep(ring_spec, 3, ring_faquad_n3, 90.0, epsilons=[-1.5],
+        tg.epsilon_sweep(3, ring_faquad_n3, 90.0, epsilons=[-1.5],
                          n_steps=2000)
 
 
-def test_duration_sweep_metadata(ring_spec, ring_faquad_n3):
-    (curve,) = tg.duration_sweep(ring_spec, [3], ring_faquad_n3, [20.0], n_steps=2000)
+def test_duration_sweep_metadata(ring_faquad_n3):
+    (curve,) = tg.duration_sweep([3], ring_faquad_n3, [20.0], n_steps=2000)
     assert curve.N == 3
     assert curve.protocol == protocol.FAQUAD
     assert curve.label == "tf"
@@ -133,12 +133,12 @@ def test_duration_sweep_metadata(ring_spec, ring_faquad_n3):
     assert 0.0 <= curve.fidelity[0] <= 1.0 + 1e-12
 
 
-def test_duration_sweep_scores_each_filling_on_one_stack(ring_spec, ring_faquad_n3):
+def test_duration_sweep_scores_each_filling_on_one_stack(ring_faquad_n3):
     # The leading three orbitals of the evolved N = 9 stack are the evolved
     # N = 3 stack, so the N = 3 curve of a (3, 9) sweep is the (3,) sweep's.
     tf_list = [30.0, 90.0]
-    three, nine = tg.duration_sweep(ring_spec, (3, 9), ring_faquad_n3, tf_list, n_steps=600)
-    (alone,) = tg.duration_sweep(ring_spec, (3,), ring_faquad_n3, tf_list, n_steps=600)
+    three, nine = tg.duration_sweep((3, 9), ring_faquad_n3, tf_list, n_steps=600)
+    (alone,) = tg.duration_sweep((3,), ring_faquad_n3, tf_list, n_steps=600)
     assert (three.N, nine.N) == (3, 9)
     assert np.array_equal(three.fidelity, alone.fidelity)
     assert not np.array_equal(nine.fidelity, alone.fidelity)
@@ -150,7 +150,7 @@ def test_fig6a_builds_one_table_per_trajectory(tmp_path, monkeypatch):
     init = dynamics.MidpointTable.__init__
 
     def counting_init(self, *args, **kwargs):
-        built.append(args[1].kind)
+        built.append(args[0].kind)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.MidpointTable, "__init__", counting_init)
