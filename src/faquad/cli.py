@@ -323,11 +323,11 @@ def _cmd_spectrum(cfg, spec, run):
 
 
 def _cmd_evolve(cfg, spec, run):
-    traj = _build_trajectory(spec, cfg.get("protocol", {}))
     sweep = cfg.get("sweep", {})
     if "tf" not in sweep:
         raise ConfigError("config.sweep.tf is required for evolve")
     t_f = float(sweep["tf"])
+    traj = _build_trajectory(spec, cfg.get("protocol", {}))
     n_save = cfg.get("integrator", {}).get("n_save", 401)
     start = cfg.get("start", _dynamics.GROUND)
 
@@ -352,8 +352,8 @@ def _cmd_evolve(cfg, spec, run):
 
 
 def _cmd_sweep_tf(cfg, spec, run):
-    traj = _build_trajectory(spec, cfg.get("protocol", {}))
     tf_grid = _tf_grid(cfg.get("sweep", {}))
+    traj = _build_trajectory(spec, cfg.get("protocol", {}))
     start = cfg.get("start", _dynamics.GROUND)
     target = cfg.get("target", 1)
     curve = _dynamics.fidelity_sweep(traj, tf_grid, start=start, target=target,

@@ -150,11 +150,14 @@ class MidpointTable:
     """Eigendecompositions of H at the step-midpoint control values.
 
     Valid for every duration at a fixed (trajectory, n_steps), because
-    midpoints sit at s = (k + 1/2)/n_steps regardless of t_f.
+    midpoints sit at s = (k + 1/2)/n_steps regardless of t_f. ``trajectory``
+    is the one it was built from; ``evolve`` takes the table only with a
+    control that plays that same trajectory.
     """
 
     def __init__(self, traj, n_steps):
         dim = traj.spec.dim
+        self.trajectory = traj
         self.n_steps = int(n_steps)
         self.lams = _midpoint_controls(traj, self.n_steps)
         self.eigvals = np.empty((self.n_steps, dim))
@@ -263,6 +266,8 @@ def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
         raise ValueError("n_steps must be >= 1")
     if n_save < 2:
         raise ValueError("n_save must be >= 2 to keep both endpoints")
+    if table is not None and table.trajectory is not traj:
+        raise ValueError("table was built for a different trajectory")
     if table is not None and table.n_steps != n_steps:
         raise ValueError("table was built for a different n_steps")
 

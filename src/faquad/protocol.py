@@ -154,10 +154,15 @@ def design_track(spec: _model.ModelSpec, pairs,
 
 
 def _pair_track(spec, pair, grid_points, track) -> _spectral.FrameTrack:
-    """``track`` checked against ``spec`` and ``pair``, or a new track of
-    ``pair`` on the design grid when it is None."""
+    """``track`` checked against ``spec``, ``pair`` and ``grid_points``, or
+    a new track of ``pair`` on the design grid when it is None. A
+    ``grid_points`` of None takes the track's grid, or the default one."""
     if track is None:
-        return design_track(spec, [pair], grid_points)
+        return design_track(spec, [pair],
+                            DEFAULT_GRID_POINTS if grid_points is None else grid_points)
+    if grid_points is not None and grid_points != len(track):
+        raise ValueError(f"grid_points={grid_points} differs from the track's "
+                         f"{len(track)} points")
     if track.spec != spec:
         raise ValueError("the track belongs to a different model")
     if _spectral._canonical_pair(pair, spec.dim) not in track.pairs:
@@ -193,7 +198,7 @@ def _design_from_weight(spec, grid, weight, kind, pair) -> NormalizedTrajectory:
 
 
 def design_faquad(spec: _model.ModelSpec, pair=(1, 2),
-                  grid_points: int = DEFAULT_GRID_POINTS,
+                  grid_points: int | None = None,
                   track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Fast quasi-adiabatic schedule for a tracked level pair.
 
@@ -207,7 +212,7 @@ def design_faquad(spec: _model.ModelSpec, pair=(1, 2),
 
 
 def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
-                           grid_points: int = DEFAULT_GRID_POINTS,
+                           grid_points: int | None = None,
                            track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Local-adiabatic competitor: drive speed proportional to gap^2,
     i.e. the same construction as FAQUAD without the coupling factor."""
@@ -232,7 +237,7 @@ def _ua_weight(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
-                             grid_points: int = DEFAULT_GRID_POINTS,
+                             grid_points: int | None = None,
                              track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Uniform-adiabatic competitor: drive speed gap^2 / |gap'|.
 

@@ -9,8 +9,10 @@ magnitude of a many-body overlap reduces to
 
 with A, B the (dim x N) orbital matrices (Cauchy-Binet). Everything
 heavy therefore happens at the single-particle level: one propagator
-evolves the whole orbital stack at once. The evolutions and sweeps take
-the ring model from the trajectory or timed control they are given.
+evolves the whole orbital stack at once. An orbital stack is a plain
+(dim, N) complex array whose columns are the N orbitals. The evolutions
+and sweeps take the ring model from the trajectory or timed control
+they are given.
 """
 
 from __future__ import annotations
@@ -25,22 +27,6 @@ from . import protocol as _protocol
 from . import spectral as _spectral
 
 DEFAULT_EPSILONS = (-0.1, -0.05, 0.0, 0.05, 0.1)
-
-
-@dataclass(frozen=True)
-class OrbitalStack:
-    """N single-particle orbitals as columns of a (dim, N) matrix."""
-
-    orbitals: np.ndarray
-    t: float = 0.0
-
-    @property
-    def N(self) -> int:
-        return self.orbitals.shape[1]
-
-    def gram_error(self) -> float:
-        gram = self.orbitals.conj().T @ self.orbitals
-        return float(np.max(np.abs(gram - np.eye(self.N))))
 
 
 @dataclass
@@ -64,37 +50,28 @@ def _check_odd_n(spec: _model.ModelSpec, N: int):
         raise ValueError("N exceeds the sensible range of the truncated basis")
 
 
-def stack_at(spec: _model.ModelSpec, lam: float, N: int) -> OrbitalStack:
-    """The N lowest orbitals of H(lam) in the deterministic gauge."""
+def stack_at(spec: _model.ModelSpec, lam: float, N: int) -> np.ndarray:
+    """The N lowest orbitals of H(lam) in the deterministic gauge, as the
+    columns of a (dim, N) complex array."""
     _check_odd_n(spec, N)
     _, vectors = np.linalg.eigh(_model.hamiltonian(spec, lam))
     vectors = _spectral.gauge_fix_columns(vectors)
-    return OrbitalStack(orbitals=vectors[:, :N].astype(complex), t=0.0)
+    return vectors[:, :N].astype(complex)
 
 
-def initial_stack(spec: _model.ModelSpec, N: int) -> OrbitalStack:
-    """Ground-state stack at the starting control value."""
-    return stack_at(spec, spec.lambda_start, N)
+def evolve_stack(orbitals: np.ndarray, control: _protocol.TimedControl,
+                 n_steps: int | None = None) -> np.ndarray:
+    """Evolve every column of a (dim, N) orbital stack with the same
+    single-particle propagator; returns the evolved (dim, N) stack."""
+    return _dynamics.evolve(control, orbitals, n_steps=n_steps, n_save=2).final_state
 
 
-def target_stack(spec: _model.ModelSpec, N: int) -> OrbitalStack:
-    """Ground-state stack at the final control value."""
-    return stack_at(spec, spec.lambda_end, N)
-
-
-def evolve_stack(stack: OrbitalStack, control: _protocol.TimedControl,
-                 n_steps: int | None = None) -> OrbitalStack:
-    """Evolve every orbital with the same single-particle propagator."""
-    result = _dynamics.evolve(control, stack.orbitals, n_steps=n_steps, n_save=2)
-    return OrbitalStack(orbitals=result.final_state, t=control.t_f)
-
-
-def tg_fidelity(evolved: OrbitalStack, target: OrbitalStack) -> float:
-    """|det| of the orbital overlap matrix, the many-body overlap magnitude."""
-    if evolved.orbitals.shape != target.orbitals.shape:
+def tg_fidelity(evolved: np.ndarray, target: np.ndarray) -> float:
+    """|det| of the orbital overlap matrix of two (dim, N) stacks, the
+    many-body overlap magnitude."""
+    if evolved.shape != target.shape:
         raise ValueError("orbital stacks must share basis size and particle number")
-    overlap = evolved.orbitals.conj().T @ target.orbitals
-    return float(np.abs(np.linalg.det(overlap)))
+    return float(np.abs(np.linalg.det(evolved.conj().T @ target)))
 
 
 def duration_sweep(Ns, traj: _protocol.NormalizedTrajectory, tf_list,
@@ -106,15 +83,14 @@ def duration_sweep(Ns, traj: _protocol.NormalizedTrajectory, tf_list,
     for N in Ns:
         _check_odd_n(spec, N)
     tf_arr = np.asarray(list(tf_list), dtype=float)
-    start = initial_stack(spec, max(Ns))
-    targets = [target_stack(spec, N) for N in Ns]
-    _, final = _dynamics._final_states(traj, start.orbitals, tf_arr, n_steps,
+    start = stack_at(spec, spec.lambda_start, max(Ns))
+    targets = [stack_at(spec, spec.lambda_end, N) for N in Ns]
+    _, final = _dynamics._final_states(traj, start, tf_arr, n_steps,
                                        pairs=[(N, N + 1) for N in Ns])
 
     def fidelities(t_f):
         orbitals = final(t_f)
-        return [tg_fidelity(OrbitalStack(orbitals[:, : target.N], t_f), target)
-                for target in targets]
+        return [tg_fidelity(orbitals[:, : target.shape[1]], target) for target in targets]
 
     fidelity, failures = _dynamics._sweep(tf_arr, fidelities, workers, shape=(len(Ns),))
     return [ManyBodyFidelityCurve(abscissa=tf_arr, fidelity=fidelity[:, j], N=N,
@@ -139,8 +115,8 @@ def epsilon_sweep(N: int, traj: _protocol.NormalizedTrajectory, t_f: float,
         raise ValueError("calibration errors must satisfy eps >= -1")
     if n_steps is None:
         n_steps = _dynamics.default_n_steps(traj, float(t_f), pair=(N, N + 1))
-    start = initial_stack(spec, N)
-    target = target_stack(spec, N)
+    start = stack_at(spec, spec.lambda_start, N)
+    target = stack_at(spec, spec.lambda_end, N)
 
     def fidelity_at(eps):
         control = _protocol.rescale(traj.scaled(1.0 + float(eps)), float(t_f))

@@ -287,7 +287,7 @@ def test_criterion_09_property_suite(two_level_spec, two_level_faquad):
     b, _ = np.linalg.qr(rng.normal(size=(13, 3)) + 1j * rng.normal(size=(13, 3)))
     brute = sum(np.conj(np.linalg.det(a[list(occ), :])) * np.linalg.det(b[list(occ), :])
                 for occ in itertools.combinations(range(13), 3))
-    det_fid = tg.tg_fidelity(tg.OrbitalStack(orbitals=a), tg.OrbitalStack(orbitals=b))
+    det_fid = tg.tg_fidelity(a, b)
     checks["fock oracle<1e-10"] = abs(det_fid - abs(brute)) <= 1e-10
 
     const = protocol.constant_protocol(two_level_spec, 22.3)

@@ -52,6 +52,9 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     # The linear ramp and the two FAQUAD designs, 400 steps each.
     assert metrics["dynamics.n_steps"] == 3 * 400
     assert metrics["spectral.track_frames.calls"] == 1
+    # The many-body layers stay on the CLI path.
+    assert metrics["tg.stack_at.s"] > 0
+    assert metrics["tg.tg_fidelity.s"] > 0
 
 
 def test_tracer_reports_the_default_step_rule_of_a_sweep(tracing, tmp_path, monkeypatch):

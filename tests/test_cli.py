@@ -322,6 +322,22 @@ def test_out_of_range_value_is_rejected_before_any_step(tmp_path, monkeypatch, c
     assert calls == []
 
 
+@pytest.mark.parametrize("args,key", [
+    (["evolve", *TWO_LEVEL_FLAGS, "--n-steps", "10"], "config.sweep.tf"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-max", "1"], "config.sweep.tf_min"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5"], "config.sweep.tf_max"),
+], ids=["evolve-tf", "sweep-tf-min", "sweep-tf-max"])
+def test_missing_duration_is_rejected_before_the_design(tmp_path, monkeypatch, capsys, args, key):
+    from faquad import protocol
+    calls = []
+    design = protocol.design_faquad
+    monkeypatch.setattr(protocol, "design_faquad",
+                        lambda *a, **k: calls.append(a) or design(*a, **k))
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", [3, ""])
 def test_output_dir_of_the_wrong_type_is_rejected_before_any_step(tmp_path, monkeypatch, capsys,
                                                                   value):

@@ -282,7 +282,7 @@ def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
     spec = model.ring(u0=0.5, K=K)
     assert spec.dim <= dynamics.TREE_PRODUCT_MAX_DIM
     traj = protocol.linear_ramp(spec)
-    psi0 = tg.initial_stack(spec, 3).orbitals
+    psi0 = tg.stack_at(spec, spec.lambda_start, 3)
     tf_list = [5.0, 20.0]
     evolve = dynamics.evolve
     calls = []
@@ -306,6 +306,14 @@ def test_midpoint_table_reuse(two_level_spec, two_level_faquad):
         assert np.array_equal(with_table.final_state, without.final_state)
 
 
+def test_evolve_rejects_a_table_of_another_trajectory(two_level_spec, two_level_faquad):
+    table = dynamics.MidpointTable(two_level_faquad, 2048)
+    control = protocol.rescale(protocol.linear_ramp(two_level_spec), 2.0)
+    psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
+    with pytest.raises(ValueError, match="trajectory"):
+        dynamics.evolve(control, psi0, table=table)
+
+
 def test_stacked_state_evolution(two_level_spec, two_level_faquad):
     control = protocol.rescale(two_level_faquad, 1.3)
     stack = np.eye(2, dtype=complex)
@@ -327,7 +335,7 @@ def test_ring_evolve_matches_a_complex_matmul_loop():
     table = dynamics.MidpointTable(traj, 400)
     control = protocol.rescale(traj, 20.0)
     dt = 20.0 / 400
-    orbitals = tg.initial_stack(spec, 5).orbitals * np.exp(1j * np.arange(5))
+    orbitals = tg.stack_at(spec, spec.lambda_start, 5) * np.exp(1j * np.arange(5))
 
     def plain(psi):
         psi = psi.reshape(spec.dim, -1)

@@ -222,3 +222,14 @@ def test_design_from_a_shared_track_is_the_standalone_design():
         protocol.design_faquad(spec, pair=(5, 6), track=track)
     with pytest.raises(ValueError):
         protocol.design_faquad(model.ring(u0=0.6, K=20), pair=(3, 4), track=track)
+
+
+def test_design_grid_points_must_match_a_given_track(two_level_spec):
+    track = protocol.design_track(two_level_spec, [(1, 2)])
+    with pytest.raises(ValueError, match="grid_points"):
+        protocol.design_faquad(two_level_spec, grid_points=11, track=track)
+    matched = protocol.design_faquad(two_level_spec, grid_points=len(track), track=track)
+    alone = protocol.design_faquad(two_level_spec, track=track)
+    assert matched.c_tilde == alone.c_tilde
+    assert np.array_equal(matched.s_grid, alone.s_grid)
+    assert np.array_equal(matched.values, alone.values)
