@@ -350,6 +350,8 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
         n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)
     n_steps = int(n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     dim = traj.spec.dim
     fits = n_steps * dim * dim <= TABLE_ENTRY_BUDGET
     if fits and dim <= TREE_PRODUCT_MAX_DIM:
@@ -414,7 +416,7 @@ def adiabatic_projection(result: EvolutionResult, pairs=((1, 2),)) -> AdiabaticP
     instantaneous eigenbasis of its model.
 
     Frames along the control are sign-fixed for continuity, starting
-    from the deterministic gauge of ``eigenstate``; the dynamical phase
+    from the deterministic gauge of ``spectral.frames``; the dynamical phase
     beta_n is accumulated by trapezoid quadrature of E_n(t) over the
     saved time grid, and W(n, m) by the same rule on E_n - E_m.
     """
@@ -423,10 +425,7 @@ def adiabatic_projection(result: EvolutionResult, pairs=((1, 2),)) -> AdiabaticP
     times = result.times
     control = result.control
     lams = control.value(times)
-    energies, vectors = np.linalg.eigh(_model.hamiltonian(control.trajectory.spec, lams))
-    vectors[0] = _spectral.gauge_fix_columns(vectors[0])
-    for k in range(1, len(times)):
-        vectors[k] = _spectral.sign_fix(vectors[k], vectors[k - 1])
+    energies, vectors = _spectral.frames(control.trajectory.spec, lams)
 
     dt_cells = np.diff(times)
     beta = np.zeros_like(energies)

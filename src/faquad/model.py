@@ -13,8 +13,9 @@ Three models are provided, all real symmetric in their natural bases:
   ``ring_barrier``), so the truncated spectrum converges like K^-3
   instead of the 1/K of a plain cut.
 
-Each model also exposes its analytic control derivative dH/dlambda, and
-the ring additionally has an independent transcendental-equation solver
+Each model also exposes its analytic control derivative dH/dlambda. It is
+diagonal for every model, and is returned as that diagonal. The ring
+additionally has an independent transcendental-equation solver
 for its exact spectrum, used as a cross-check oracle by the tests.
 """
 
@@ -224,9 +225,10 @@ def ring_barrier(params: RingParams) -> np.ndarray:
 
 
 def d_hamiltonian_d_lambda(spec: ModelSpec, lam) -> np.ndarray:
-    """Analytic derivative of ``hamiltonian`` with respect to the control,
-    stacked like ``hamiltonian`` for a 1-d array of controls. It is
-    diagonal for every built-in model."""
+    """Analytic derivative of ``hamiltonian`` with respect to the control.
+    It is diagonal for every built-in model and is returned as its
+    diagonal: shape (dim,) for one control, (n, dim) for a 1-d array of n
+    controls."""
     lam = _controls(lam)
     if spec.kind == TWO_LEVEL:
         values = [0.0, -1.0]
@@ -235,10 +237,7 @@ def d_hamiltonian_d_lambda(spec: ModelSpec, lam) -> np.ndarray:
     else:
         k = np.arange(-spec.params.K, spec.params.K + 1, dtype=float)
         values = -(k - lam[..., None] / (2.0 * math.pi)) / math.pi
-    dH = np.zeros(lam.shape + (spec.dim, spec.dim))
-    diag = np.arange(spec.dim)
-    dH[..., diag, diag] = values
-    return dH
+    return np.broadcast_to(values, lam.shape + (spec.dim,)).astype(float)
 
 
 def _cot(x: float) -> float:

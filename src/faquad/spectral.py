@@ -2,8 +2,11 @@
 
 All model Hamiltonians are real symmetric, so eigenvectors can be kept
 real and made continuous along a grid by fixing the sign of each column
-against the previous grid point. Level couplings are computed with the
-off-diagonal Hellmann-Feynman identity
+against the previous grid point. ``frames`` is the one routine that
+diagonalizes and applies this sign gauge; the tracked frames, single
+eigenstates, the orbital stacks of ``tg`` and the adiabatic projection of
+``dynamics`` all read their eigenvectors from it. Level couplings are
+computed with the off-diagonal Hellmann-Feynman identity
 
     <phi_i | d/dlambda phi_j> = <phi_i | dH/dlambda | phi_j> / (E_j - E_i)
 
@@ -27,7 +30,7 @@ DEGENERACY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class FrameTrack:
-    """Sign-fixed eigensystems along a strictly monotone control grid.
+    """Sign-fixed eigendecompositions along a strictly monotone control grid.
 
     ``energies`` has shape (n_grid, dim), ``vectors`` (n_grid, dim, dim)
     with eigenvector columns, and ``couplings`` maps a 1-based level pair
@@ -66,16 +69,6 @@ def _canonical_pair(pair, dim):
     return (i, j) if i < j else (j, i)
 
 
-def eigensystem(H: np.ndarray):
-    """Ascending eigenvalues and orthonormal eigenvector columns of a real
-    symmetric matrix. Non-symmetric input is rejected."""
-    H = np.asarray(H, dtype=float)
-    scale = max(np.max(np.abs(H)), 1.0)
-    if np.max(np.abs(H - H.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(H)
-
-
 def sign_fix(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so their overlap with ``reference`` columns
     is positive. Columns with zero overlap are left unchanged."""
@@ -93,11 +86,25 @@ def gauge_fix_columns(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def frames(spec: _model.ModelSpec, lams):
+    """Energies (n, dim) and eigenvector columns (n, dim, dim) of H at each
+    control of the 1-d array ``lams``, in the package's sign gauge: the
+    columns at the first control follow ``gauge_fix_columns``, and each
+    later column has a nonnegative overlap with the one before it."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or len(lams) == 0:
+        raise ValueError("controls must be a non-empty 1-d array")
+    energies, vectors = np.linalg.eigh(_model.hamiltonian(spec, lams))
+    vectors[0] = gauge_fix_columns(vectors[0])
+    for k in range(1, len(lams)):
+        vectors[k] = sign_fix(vectors[k], vectors[k - 1])
+    return energies, vectors
+
+
 def eigenstate(spec: _model.ModelSpec, lam: float, level: int = 1) -> np.ndarray:
     """Instantaneous eigenvector (1-based level) at one control value, in
-    the deterministic sign gauge."""
-    _, vectors = np.linalg.eigh(_model.hamiltonian(spec, lam))
-    return gauge_fix_columns(vectors)[:, level - 1]
+    the gauge of ``frames``."""
+    return frames(spec, [lam])[1][0, :, level - 1]
 
 
 def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
@@ -128,20 +135,10 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
         raise ValueError("grid must be strictly monotone")
 
     pairs = tuple(dict.fromkeys(_canonical_pair(p, spec.dim) for p in pairs))
-    n = len(grid)
-    energies, vectors = np.linalg.eigh(_model.hamiltonian(spec, grid))
-
-    vectors[0] = gauge_fix_columns(vectors[0])
-    for k in range(1, n):
-        vectors[k] = sign_fix(vectors[k], vectors[k - 1])
-
-    # All built-in models have diagonal control derivatives, which keeps
-    # the coupling numerator an O(dim) contraction per grid point.
-    dH = _model.d_hamiltonian_d_lambda(spec, grid)
-    dh = np.diagonal(dH, axis1=1, axis2=2).copy()
-    if np.count_nonzero(dH) != np.count_nonzero(dh):
-        raise NotImplementedError("non-diagonal control derivatives are not supported")
-    del dH
+    energies, vectors = frames(spec, grid)
+    # dH/dlambda is diagonal, so the coupling numerator is an O(dim)
+    # contraction per grid point.
+    dh = _model.d_hamiltonian_d_lambda(spec, grid)
 
     couplings = {}
     spread = np.maximum(energies[:, -1] - energies[:, 0], 1.0)

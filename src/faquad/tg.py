@@ -51,12 +51,10 @@ def _check_odd_n(spec: _model.ModelSpec, N: int):
 
 
 def stack_at(spec: _model.ModelSpec, lam: float, N: int) -> np.ndarray:
-    """The N lowest orbitals of H(lam) in the deterministic gauge, as the
-    columns of a (dim, N) complex array."""
+    """The N lowest orbitals of H(lam) in the gauge of ``spectral.frames``,
+    as the columns of a (dim, N) complex array."""
     _check_odd_n(spec, N)
-    _, vectors = np.linalg.eigh(_model.hamiltonian(spec, lam))
-    vectors = _spectral.gauge_fix_columns(vectors)
-    return vectors[:, :N].astype(complex)
+    return _spectral.frames(spec, [lam])[1][0, :, :N].astype(complex)
 
 
 def evolve_stack(orbitals: np.ndarray, control: _protocol.TimedControl,

@@ -52,6 +52,10 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     # The linear ramp and the two FAQUAD designs, 400 steps each.
     assert metrics["dynamics.n_steps"] == 3 * 400
     assert metrics["spectral.track_frames.calls"] == 1
+    # 2001 design-grid points shared by both pairs, 3 x 400 midpoints, and
+    # 7 single-control stacks (start and N = 3, 9 targets of the linear
+    # ramp, start and target of each FAQUAD design): 2001 + 1200 + 7.
+    assert metrics["eigh.matrices"] == 3208
     # The many-body layers stay on the CLI path.
     assert metrics["tg.stack_at.s"] > 0
     assert metrics["tg.tg_fidelity.s"] > 0
@@ -65,3 +69,7 @@ def test_tracer_reports_the_default_step_rule_of_a_sweep(tracing, tmp_path, monk
     assert metrics["dynamics.table.builds"] == 1
     assert metrics["protocol.design.calls"] > 0
     assert metrics["dynamics.n_steps"] == manifest["derived"]["n_steps"] == 14162
+    # The 14162-step table, the 2001-point design grid, its 2001 knots again
+    # in phase_integral, 2 controls for predict's sign r, and the start
+    # vector: 14162 + 2001 + 2001 + 2 + 1.
+    assert metrics["eigh.matrices"] == 18167

@@ -227,6 +227,16 @@ def test_sweep_rejects_bad_durations(two_level_faquad):
         dynamics.fidelity_sweep(two_level_faquad, [1.0, -2.0])
 
 
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_sweeps_reject_a_step_count_below_one(two_level_faquad, n_steps):
+    # As evolve and tg.epsilon_sweep do, before any table is built.
+    with pytest.raises(ValueError, match="n_steps"):
+        dynamics.fidelity_sweep(two_level_faquad, [1.0], n_steps=n_steps)
+    ring = protocol.linear_ramp(model.ring(u0=0.5, K=2))
+    with pytest.raises(ValueError, match="n_steps"):
+        tg.duration_sweep([1], ring, [1.0], n_steps=n_steps)
+
+
 def _two_level_sweep(traj, points):
     curve = dynamics.fidelity_sweep(traj, points, n_steps=2048)
     return curve.population, curve.failures

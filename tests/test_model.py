@@ -83,8 +83,11 @@ def test_control_derivative_matches_finite_difference():
             h = 1e-6 * max(span, 1.0)
             fd = (model.hamiltonian(spec, lam + h) - model.hamiltonian(spec, lam - h)) / (2 * h)
             exact = model.d_hamiltonian_d_lambda(spec, lam)
+            assert exact.shape == (spec.dim,)
             scale = max(np.max(np.abs(exact)), 1.0)
-            assert np.max(np.abs(fd - exact)) <= 1e-6 * scale
+            assert np.max(np.abs(np.diagonal(fd) - exact)) <= 1e-6 * scale
+            # The derivative is diagonal, as the returned shape assumes.
+            assert np.array_equal(fd, np.diag(np.diagonal(fd)))
 
 
 def test_dim_property():
@@ -121,9 +124,10 @@ def test_constructor_validation():
 ], ids=["two-level", "bose-hubbard-3", "ring-K12"])
 def test_array_of_controls_builds_the_stacked_matrices(spec):
     lams = np.array([0.0, math.pi, 1.1 * math.pi])
-    for build in (model.hamiltonian, model.d_hamiltonian_d_lambda):
+    for build, shape in ((model.hamiltonian, (3, spec.dim, spec.dim)),
+                         (model.d_hamiltonian_d_lambda, (3, spec.dim))):
         stack = build(spec, lams)
-        assert stack.shape == (3, spec.dim, spec.dim)
+        assert stack.shape == shape
         assert np.array_equal(stack, np.stack([build(spec, lam) for lam in lams]))
         for bad in (float("nan"), np.array([0.0, np.inf]), np.array([np.nan])):
             with pytest.raises(ValueError):

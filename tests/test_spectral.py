@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from faquad import model, spectral
+from faquad import model, spectral, tg
 from faquad.errors import DegenerateGap
 
 
@@ -17,22 +17,6 @@ def _two_level_gap(spec, lam):
 def _two_level_coupling(spec, lam):
     g = spec.params.U - lam
     return math.sqrt(2.0) * spec.params.J / (g * g + 8.0 * spec.params.J**2)
-
-
-def test_eigensystem_sorted_orthonormal():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        A = rng.normal(size=(5, 5))
-        H = 0.5 * (A + A.T)
-        energies, vectors = spectral.eigensystem(H)
-        assert np.all(np.diff(energies) >= 0)
-        assert np.allclose(vectors.T @ vectors, np.eye(5), atol=1e-12)
-        assert np.allclose(vectors @ np.diag(energies) @ vectors.T, H, atol=1e-12)
-
-
-def test_eigensystem_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        spectral.eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_two_level_gap_closed_form(two_level_spec):
@@ -123,9 +107,25 @@ def test_track_grid_validation(two_level_spec):
 def test_eigenstate_gauge(two_level_spec):
     phi = spectral.eigenstate(two_level_spec, 0.0, level=1)
     assert phi[np.argmax(np.abs(phi))] > 0
-    energies, _ = spectral.eigensystem(model.hamiltonian(two_level_spec, 0.0))
     H = model.hamiltonian(two_level_spec, 0.0)
+    energies, _ = np.linalg.eigh(H)
     assert np.allclose(H @ phi, energies[0] * phi, atol=1e-12)
+
+
+def test_frames_gauge_is_shared_by_its_callers(ring_spec):
+    lam = 0.7
+    stack = tg.stack_at(ring_spec, lam, 9)
+    for n in range(1, 10):
+        assert np.array_equal(stack[:, n - 1], spectral.eigenstate(ring_spec, lam, n))
+    grid = np.linspace(0.0, math.pi, 21)
+    _, vectors = spectral.frames(ring_spec, grid)
+    assert np.array_equal(vectors, spectral.track_frames(ring_spec, grid).vectors)
+
+
+def test_frames_rejects_a_scalar_or_empty_control(two_level_spec):
+    for bad in (0.0, np.array([]), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            spectral.frames(two_level_spec, bad)
 
 
 def test_sign_fix_handles_zero_overlap():
