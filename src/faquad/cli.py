@@ -301,10 +301,10 @@ def _cmd_design(cfg, spec, run):
     _write_csv(run.path("trajectory.csv"), "s,lambda", _trajectory_rows(traj))
     run.derive("kind", traj.kind)
     if traj.c_tilde is not None:
-        run.derive("c_tilde", traj.c_tilde)
-        phi = _perturbation.phase_integral(traj)
-        run.derive("phi", phi)
-        run.derive("period", 2.0 * math.pi / phi)
+        pred = _perturbation.predict(traj)
+        run.derive("c_tilde", pred.c_tilde)
+        run.derive("phi", pred.phi)
+        run.derive("period", pred.period)
 
 
 def _cmd_spectrum(cfg, spec, run):

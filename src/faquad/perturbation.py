@@ -29,19 +29,14 @@ from . import spectral as _spectral
 
 @dataclass(frozen=True)
 class PerturbationPrediction:
-    """Closed-form first-order prediction data for one level pair.
-
-    ``approximate`` flags trajectories other than FAQUAD, whose
-    adiabaticity parameter is not constant, making the closed form a
-    rough guide only. ``r`` is the sign of coupling times gap at s = 0,
-    fixing the orientation of the first-order amplitude.
-    """
+    """The two numbers of a design that fix its first-order prediction:
+    the gap integral ``phi`` and the scaled adiabaticity constant
+    ``c_tilde``. The closed form is exact to first order for FAQUAD,
+    whose adiabaticity parameter is constant, and a rough guide for the
+    other designs."""
 
     phi: float
     c_tilde: float
-    pair: tuple
-    r: float = 1.0
-    approximate: bool = False
 
     @property
     def period(self) -> float:
@@ -56,42 +51,33 @@ class PerturbationPrediction:
 def phase_integral(traj: _protocol.NormalizedTrajectory) -> float:
     """Normalized gap integral Phi over the trajectory's natural clock.
 
-    Trapezoid quadrature of the tracked pair gap on the trajectory's own
-    (s, lambda) knots. Duration never enters: the same trajectory gives
-    the same Phi at every t_f by construction.
+    Trapezoid quadrature of |gap| on the trajectory's own (s, lambda)
+    knots. A designed trajectory carries its pair's gap there, so this
+    diagonalises nothing; any other (linear, constant, scaled) gets the
+    gap of its pair, or of (1, 2), from the eigenvalues at its knots.
+    Duration never enters: the same trajectory gives the same Phi at
+    every t_f by construction.
     """
-    spec, pair = traj.spec, traj.pair or (1, 2)
-    if traj.kind == _protocol.CONSTANT:
-        lam = float(traj.values[0])
-        energies = np.linalg.eigvalsh(_model.hamiltonian(spec, lam))
-        return float(energies[pair[1] - 1] - energies[pair[0] - 1])
-    track = _spectral.track_frames(spec, traj.values, pairs=(pair,))
-    gap = np.abs(track.gap(pair))
-    return float(np.trapezoid(gap, traj.s_grid))
+    gap = traj.gap
+    if gap is None:
+        i, j = _spectral._canonical_pair(traj.pair or (1, 2), traj.spec.dim)
+        energies = np.linalg.eigvalsh(_model.hamiltonian(traj.spec, traj.values))
+        gap = energies[:, j - 1] - energies[:, i - 1]
+    return float(np.trapezoid(np.abs(gap), traj.s_grid))
 
 
 def predict(traj: _protocol.NormalizedTrajectory) -> PerturbationPrediction:
-    """Bundle Phi, c_tilde and the sign factor for a designed trajectory."""
-    spec, pair = traj.spec, tuple(traj.pair or (1, 2))
+    """Phi and c_tilde of a trajectory that defines c_tilde."""
     if traj.c_tilde is None:
         raise ValueError("trajectory defines no adiabaticity constant c_tilde")
-    phi = phase_integral(traj)
-    track = _spectral.track_frames(spec, traj.values[:2], pairs=(pair,))
-    r = 1.0 if track.coupling(pair)[0] * track.gap(pair)[0] >= 0 else -1.0
-    return PerturbationPrediction(
-        phi=phi,
-        c_tilde=float(traj.c_tilde),
-        pair=pair,
-        r=r,
-        approximate=traj.kind != _protocol.FAQUAD,
-    )
+    return PerturbationPrediction(phi=phase_integral(traj), c_tilde=float(traj.c_tilde))
 
 
 def predicted_infidelity(pred: PerturbationPrediction, t_f):
     """(4 c_tilde^2 / t_f^2) sin^2(t_f Phi / 2); exact zeros at multiples
     of the period, envelope value midway between them."""
     t = np.asarray(t_f, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t_f must be positive")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("t_f must be finite and positive")
     out = pred.envelope(t) * np.sin(t * pred.phi / 2.0) ** 2
     return float(out) if np.isscalar(t_f) else out

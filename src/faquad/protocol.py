@@ -29,7 +29,7 @@ is automatically dense wherever lambda_tilde(s) is steep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -50,6 +50,15 @@ KINDS = SWEEP_KINDS + (CONSTANT,)
 DEFAULT_GRID_POINTS = 2001
 
 
+def _clock(s) -> np.ndarray:
+    """``s`` clipped to [0, 1]; a value more than 1e-12 outside, or NaN,
+    raises ValueError."""
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all((s_arr >= -1e-12) & (s_arr <= 1.0 + 1e-12)):
+        raise ValueError("normalized time must lie in [0, 1]")
+    return np.clip(s_arr, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class NormalizedTrajectory:
     """A control schedule on the normalized clock s in [0, 1].
@@ -59,7 +68,11 @@ class NormalizedTrajectory:
     grid. ``c_tilde`` is the duration-scaled adiabaticity constant
     (energy times time, here dimensionless with hbar = 1); it is None
     for kinds that do not define one. ``pair`` is the 1-based level pair
-    the design used, None for linear and constant schedules.
+    the design used, None for linear and constant schedules. ``gap`` is
+    that pair's gap E_j - E_i (i < j) at each knot, kept by the designer
+    from its own diagonalisation so that the phase integral needs none;
+    it is None where no design made it, including ``scaled`` copies,
+    whose knot values change.
     """
 
     kind: str
@@ -68,6 +81,7 @@ class NormalizedTrajectory:
     values: np.ndarray
     c_tilde: float | None = None
     pair: tuple | None = None
+    gap: np.ndarray | None = None
     _interp: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -83,6 +97,8 @@ class NormalizedTrajectory:
             dv = np.diff(v)
             if not (np.all(dv > 0) or np.all(dv < 0)):
                 raise ValueError("sweep trajectories must be strictly monotone")
+        if self.gap is not None and np.shape(self.gap) != s.shape:
+            raise ValueError("gap must have the shape of s_grid")
         object.__setattr__(self, "s_grid", s)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_interp", PchipInterpolator(s, v))
@@ -91,19 +107,16 @@ class NormalizedTrajectory:
         """lambda_tilde(s) by monotone cubic interpolation. The boundary
         values are pinned exactly: polynomial evaluation at the very last
         knot would otherwise leak rounding error into lambda_end."""
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < -1e-12) or np.any(s_arr > 1.0 + 1e-12):
-            raise ValueError("normalized time must lie in [0, 1]")
-        clipped = np.clip(s_arr, 0.0, 1.0)
+        clipped = _clock(s)
         out = self._interp(clipped)
         out = np.where(clipped == 0.0, self.values[0], out)
         out = np.where(clipped == 1.0, self.values[-1], out)
         return float(out) if np.isscalar(s) else out
 
     def derivative(self, s):
-        """d lambda_tilde / d s of the interpolant."""
-        s_arr = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-        out = self._interp.derivative()(s_arr)
+        """d lambda_tilde / d s of the interpolant, on the domain of
+        ``evaluate``."""
+        out = self._interp.derivative()(_clock(s))
         return float(out) if np.isscalar(s) else out
 
     def scaled(self, factor: float) -> "NormalizedTrajectory":
@@ -111,20 +124,14 @@ class NormalizedTrajectory:
 
         Models a miscalibrated drive; boundary values are scaled too, so
         the result generally ends away from ``spec.lambda_end``. A zero
-        factor degenerates to the constant zero schedule.
+        factor degenerates to the constant zero schedule. The copy keeps
+        ``pair`` but no ``c_tilde`` and no ``gap``.
         """
         if factor < 0:
             raise ValueError("scale factor must be >= 0")
         if factor == 0.0:
             return constant_protocol(self.spec, 0.0)
-        return NormalizedTrajectory(
-            kind=self.kind,
-            spec=self.spec,
-            s_grid=self.s_grid,
-            values=self.values * factor,
-            c_tilde=None,
-            pair=self.pair,
-        )
+        return replace(self, values=self.values * factor, c_tilde=None, gap=None)
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,12 @@ def _pair_track(spec, pair, grid_points, track) -> _spectral.FrameTrack:
     return track
 
 
-def _design_from_weight(spec, grid, weight, kind, pair) -> NormalizedTrajectory:
+def _design_from_weight(track, weight, kind, pair) -> NormalizedTrajectory:
     """Shared separable-quadrature core: cumulative trapezoid of a
-    non-negative weight over arc length, then monotone inversion."""
+    non-negative weight over arc length, then monotone inversion. The
+    trajectory keeps ``track``'s model, its grid as knots and the pair's
+    gap on them."""
+    grid = track.grid
     weight = np.asarray(weight, dtype=float)
     if np.any(weight < 0) or not np.all(np.isfinite(weight)):
         raise FaquadError("design weight must be finite and non-negative")
@@ -189,11 +199,12 @@ def _design_from_weight(spec, grid, weight, kind, pair) -> NormalizedTrajectory:
     s[0], s[-1] = 0.0, 1.0
     return NormalizedTrajectory(
         kind=kind,
-        spec=spec,
+        spec=track.spec,
         s_grid=s,
         values=grid.copy(),
         c_tilde=float(total),
         pair=tuple(pair),
+        gap=track.gap(pair),
     )
 
 
@@ -208,7 +219,7 @@ def design_faquad(spec: _model.ModelSpec, pair=(1, 2),
     """
     track = _pair_track(spec, pair, grid_points, track)
     weight = np.abs(track.coupling(pair) / track.gap(pair))
-    return _design_from_weight(spec, track.grid, weight, FAQUAD, pair)
+    return _design_from_weight(track, weight, FAQUAD, pair)
 
 
 def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
@@ -218,7 +229,7 @@ def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
     i.e. the same construction as FAQUAD without the coupling factor."""
     track = _pair_track(spec, pair, grid_points, track)
     weight = 1.0 / track.gap(pair) ** 2
-    return _design_from_weight(spec, track.grid, weight, LOCAL_ADIABATIC, pair)
+    return _design_from_weight(track, weight, LOCAL_ADIABATIC, pair)
 
 
 def _ua_weight(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -246,7 +257,7 @@ def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
     """
     track = _pair_track(spec, pair, grid_points, track)
     weight = _ua_weight(track.gap(pair), track.grid)
-    return _design_from_weight(spec, track.grid, weight, UNIFORM_ADIABATIC, pair)
+    return _design_from_weight(track, weight, UNIFORM_ADIABATIC, pair)
 
 
 def linear_ramp(spec: _model.ModelSpec) -> NormalizedTrajectory:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from faquad import dynamics, model, perturbation, protocol
+from faquad import dynamics, model, perturbation, protocol, spectral
 
 PHI_TWO_LEVEL = 4.195468594893811
 PHI_SPLITTING = 4.272942832585531
@@ -43,7 +43,6 @@ def test_prediction_identities(two_level_faquad):
     pred = perturbation.predict(two_level_faquad)
     assert pred.period == pytest.approx(2.0 * math.pi / pred.phi, rel=1e-15)
     assert pred.envelope(2.0) == pytest.approx(pred.c_tilde**2, rel=1e-15)
-    assert not pred.approximate
     # zeros of the predicted infidelity at integer multiples of the period
     for k in (1, 2, 5):
         assert perturbation.predicted_infidelity(pred, k * pred.period) \
@@ -89,19 +88,9 @@ def test_predict_requires_designed_schedule(two_level_spec):
     assert perturbation.phase_integral(lin) > 0
 
 
-def test_competitor_prediction_flagged_approximate(two_level_la):
+def test_competitor_prediction_carries_its_c_tilde(two_level_la):
     pred = perturbation.predict(two_level_la)
-    assert pred.approximate
     assert pred.c_tilde == pytest.approx(1.0436237082810267, rel=1e-9)
-
-
-def test_orientation_sign():
-    spec_down = model.two_level(U=22.3, delta_start=66.7, delta_end=0.0)
-    spec_up = model.two_level(U=22.3, delta_start=0.0, delta_end=66.7)
-    r_down = perturbation.predict(protocol.design_faquad(spec_down)).r
-    r_up = perturbation.predict(protocol.design_faquad(spec_up)).r
-    assert abs(r_down) == 1.0 and abs(r_up) == 1.0
-    assert r_down == -r_up
 
 
 def test_predicted_infidelity_validation(two_level_faquad):
@@ -110,3 +99,43 @@ def test_predicted_infidelity_validation(two_level_faquad):
         perturbation.predicted_infidelity(pred, 0.0)
     with pytest.raises(ValueError):
         perturbation.predicted_infidelity(pred, -1.0)
+    with pytest.raises(ValueError):
+        perturbation.predicted_infidelity(pred, math.nan)
+    with pytest.raises(ValueError):
+        perturbation.predicted_infidelity(pred, math.inf)
+
+
+@pytest.mark.parametrize("design", [protocol.design_faquad, protocol.design_local_adiabatic,
+                                    protocol.design_uniform_adiabatic])
+@pytest.mark.parametrize("spec_name", ["two_level_spec", "cotunneling_spec"])
+def test_designed_prediction_reads_the_design_record(design, spec_name, request,
+                                                     monkeypatch):
+    spec = request.getfixturevalue(spec_name)
+    track = protocol.design_track(spec, [(1, 2)])
+    traj = design(spec, track=track)
+    # The record is a fresh array, so it does not keep the track alive.
+    assert not np.shares_memory(traj.gap, track.energies)
+    # Phi as the knots' own diagonalisation gives it.
+    knots = spectral.track_frames(spec, traj.values, pairs=((1, 2),))
+    reference = float(np.trapezoid(np.abs(knots.gap((1, 2))), traj.s_grid))
+    scaled = traj.scaled(1.1)
+    assert scaled.gap is None
+    energies = np.linalg.eigvalsh(model.hamiltonian(spec, scaled.values))
+    scaled_reference = float(np.trapezoid(energies[:, 1] - energies[:, 0], scaled.s_grid))
+
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    phi = perturbation.phase_integral(traj)
+    pred = perturbation.predict(traj)
+    assert calls == []
+    assert phi == pred.phi == reference
+    assert perturbation.phase_integral(scaled) == scaled_reference
+    assert calls == ["eigvalsh"]
+
+    with pytest.raises(ValueError, match="gap"):
+        protocol.NormalizedTrajectory(kind=traj.kind, spec=spec, s_grid=traj.s_grid,
+                                      values=traj.values, gap=traj.gap[1:])

@@ -1,5 +1,7 @@
 """Schedule design by separable quadrature, plus the rescaling law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,8 @@ def test_frozen_design_constants(splitting_faquad, cotunneling_faquad,
 
 
 def test_constant_weight_designs_linear_schedule(two_level_spec):
-    grid = np.linspace(66.7, 0.0, 501)
-    traj = protocol._design_from_weight(two_level_spec, grid, np.ones_like(grid),
+    track = protocol.design_track(two_level_spec, [(1, 2)], 501)
+    traj = protocol._design_from_weight(track, np.ones_like(track.grid),
                                         protocol.FAQUAD, (1, 2))
     s = np.linspace(0.0, 1.0, 101)
     expected = 66.7 * (1.0 - s)
@@ -77,12 +79,12 @@ def test_uniform_adiabatic_linear_gap_closed_form(two_level_spec):
     # integrates to s(x) = (1/a - 1/(a+bx)) / (1/a - 1/(a+bL)), giving
     # x(s) = (1/(1/a - s D) - a)/b with D the full integral.
     a, b, L = 2.0, 3.0, 5.0
-    grid = np.linspace(0.0, L, 4001)
+    spec = model.two_level(U=22.3, delta_start=0.0, delta_end=L)
+    track = protocol.design_track(spec, [(1, 2)], 4001)
+    grid = track.grid
     gap = a + b * grid
     weight = protocol._ua_weight(gap, grid)
-    spec = model.two_level(U=22.3, delta_start=0.0, delta_end=L)
-    traj = protocol._design_from_weight(spec, grid, weight,
-                                        protocol.UNIFORM_ADIABATIC, (1, 2))
+    traj = protocol._design_from_weight(track, weight, protocol.UNIFORM_ADIABATIC, (1, 2))
     s = np.linspace(0.0, 1.0, 101)
     D = 1.0 / a - 1.0 / (a + b * L)
     expected = (1.0 / (1.0 / a - s * D) - a) / b
@@ -161,12 +163,15 @@ def test_sweep_values_strictly_monotone(two_level_faquad):
 
 
 def test_evaluate_domain_checks(two_level_faquad):
-    with pytest.raises(ValueError):
-        two_level_faquad.evaluate(-0.1)
-    with pytest.raises(ValueError):
-        two_level_faquad.evaluate(1.1)
-    # values inside the floating-point guard band are clipped, not rejected
-    assert two_level_faquad.evaluate(1.0 + 5e-13) == two_level_faquad.evaluate(1.0)
+    # derivative shares the domain: out of range is an error for it too,
+    # not the slope at the clipped end
+    for method in (two_level_faquad.evaluate, two_level_faquad.derivative):
+        for s in (-0.1, 1.1, 1.5, -3.0, math.nan, [0.5, 1.1]):
+            with pytest.raises(ValueError):
+                method(s)
+        # values inside the floating-point guard band are clipped, not rejected
+        assert method(1.0 + 5e-13) == method(1.0)
+        assert method(-5e-13) == method(0.0)
 
 
 def test_flat_gap_detection():
@@ -179,12 +184,11 @@ def test_flat_gap_detection():
 
 
 def test_vanishing_weight_cell_rejected(two_level_spec):
-    grid = np.linspace(66.7, 0.0, 11)
-    weight = np.ones_like(grid)
+    track = protocol.design_track(two_level_spec, [(1, 2)], 11)
+    weight = np.ones_like(track.grid)
     weight[3:5] = 0.0
     with pytest.raises(FaquadError):
-        protocol._design_from_weight(two_level_spec, grid, weight,
-                                     protocol.FAQUAD, (1, 2))
+        protocol._design_from_weight(track, weight, protocol.FAQUAD, (1, 2))
 
 
 def test_trajectory_validation(two_level_spec):
