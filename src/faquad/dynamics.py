@@ -9,7 +9,10 @@ which is unitary by construction (second order in the step for a
 time-dependent generator). Midpoint control values depend only on the
 normalized clock s = (k + 1/2)/n_steps, so the eigendecompositions can
 be tabulated once per (trajectory, n_steps) and reused across all
-durations of a sweep.
+durations of a sweep. They come from ``spectral.eigh``: a ring table is
+solved by the ring's secular equation, O(dim^2) per matrix with the GIL
+released, straight into the table's arrays; a schedule that is played
+once (a miscalibrated drive) streams them in chunks instead.
 
 Every function here reads the model from the trajectory, timed control
 or evolution result it is given (``traj.spec``), so a model and a schedule
@@ -143,11 +146,12 @@ def _midpoint_controls(traj, n_steps):
 def _midpoint_eigh(spec, lams):
     """Yield (lo, eigvals, eigvecs) of H at lams, _CHUNK values at a time."""
     for lo in range(0, len(lams), _CHUNK):
-        yield (lo, *np.linalg.eigh(_model.hamiltonian(spec, lams[lo : lo + _CHUNK])))
+        yield (lo, *_spectral.eigh(spec, lams[lo : lo + _CHUNK]))
 
 
 class MidpointTable:
-    """Eigendecompositions of H at the step-midpoint control values.
+    """Eigendecompositions of H at the step-midpoint control values, from
+    ``spectral.eigh``.
 
     Valid for every duration at a fixed (trajectory, n_steps), because
     midpoints sit at s = (k + 1/2)/n_steps regardless of t_f. ``trajectory``
@@ -156,14 +160,10 @@ class MidpointTable:
     """
 
     def __init__(self, traj, n_steps):
-        dim = traj.spec.dim
         self.trajectory = traj
         self.n_steps = int(n_steps)
         self.lams = _midpoint_controls(traj, self.n_steps)
-        self.eigvals = np.empty((self.n_steps, dim))
-        self.eigvecs = np.empty((self.n_steps, dim, dim))
-        for lo, w, v in _midpoint_eigh(traj.spec, self.lams):
-            self.eigvals[lo : lo + len(w)], self.eigvecs[lo : lo + len(w)] = w, v
+        self.eigvals, self.eigvecs = _spectral.eigh(traj.spec, self.lams)
 
 
 class StepOverlaps:

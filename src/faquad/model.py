@@ -11,7 +11,9 @@ Three models are provided, all real symmetric in their natural bases:
   Energies are reported in units of E0 = 2 pi^2 hbar^2 / (M L^2). The
   plane waves |k| > K are downfolded into a rank-one barrier term (see
   ``ring_barrier``), so the truncated spectrum converges like K^-3
-  instead of the 1/K of a plain cut.
+  instead of the 1/K of a plain cut. Every ring Hamiltonian is thus a
+  diagonal plus the rank-one term of ``ring_barrier_factor``, the form
+  that ``spectral.eigh`` diagonalises by its secular equation.
 
 Each model also exposes its analytic control derivative dH/dlambda. It is
 diagonal for every model, and is returned as that diagonal. The ring
@@ -163,8 +165,8 @@ def hamiltonian(spec: ModelSpec, lam) -> np.ndarray:
 
     Ring in plane waves k = -K..K (E0 units): kinetic diagonal
     (k - Omega/2pi)^2 plus the downfolded delta barrier gamma v v^T of
-    ``ring_barrier``, which does not depend on Omega. The levels converge
-    to the transcendental roots like K^-3.
+    ``ring_barrier_factor``, which does not depend on Omega. The levels
+    converge to the transcendental roots like K^-3.
     """
     lam = _controls(lam)
     p = spec.params
@@ -186,8 +188,9 @@ def hamiltonian(spec: ModelSpec, lam) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def ring_barrier(params: RingParams) -> np.ndarray:
-    """Delta-barrier part of the ring Hamiltonian, gamma v v^T (E0 units).
+def ring_barrier_factor(params: RingParams) -> tuple[float, np.ndarray]:
+    """Rank-one factor (gamma, v) of the ring's delta barrier gamma v v^T
+    (E0 units), so that H(Omega) = diag((k - Omega/2pi)^2) + gamma v v^T.
 
     The barrier couples every pair of plane waves with the same weight
     g = u0/(2 pi^2), so a plain cut at |k| <= K solves the secular
@@ -208,8 +211,8 @@ def ring_barrier(params: RingParams) -> np.ndarray:
     reproduces that coupling to first order in E. The tail terms it
     neglects depend on Omega and are O(K^-3), so the levels converge to
     the transcendental roots like K^-3. The term is independent of
-    Omega, which keeps dH/dOmega diagonal, and exactly zero for u0 = 0.
-    It is cached per parameter set and returned read-only.
+    Omega, which keeps dH/dOmega diagonal, and exactly zero for u0 = 0
+    (gamma = 0). It is cached per parameter set; v is returned read-only.
     """
     g = params.u0 / (2.0 * math.pi**2)
     K = params.K
@@ -219,6 +222,16 @@ def ring_barrier(params: RingParams) -> np.ndarray:
     beta = -g * sigma / (2.0 * (1.0 + g * tau))
     gamma = g / (1.0 + g * tau - 2.0 * g * beta * (2 * K + 1))
     v = np.sqrt(1.0 + 2.0 * beta * k * k)
+    v.setflags(write=False)
+    return gamma, v
+
+
+@functools.lru_cache(maxsize=16)
+def ring_barrier(params: RingParams) -> np.ndarray:
+    """Delta-barrier part of the ring Hamiltonian, the matrix gamma v v^T
+    of ``ring_barrier_factor``. It is cached per parameter set and
+    returned read-only."""
+    gamma, v = ring_barrier_factor(params)
     barrier = gamma * np.outer(v, v)
     barrier.setflags(write=False)
     return barrier

@@ -52,10 +52,13 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     # The linear ramp and the two FAQUAD designs, 400 steps each.
     assert metrics["dynamics.n_steps"] == 3 * 400
     assert metrics["spectral.track_frames.calls"] == 1
-    # 2001 design-grid points shared by both pairs, 3 x 400 midpoints, and
-    # 7 single-control stacks (start and N = 3, 9 targets of the linear
-    # ramp, start and target of each FAQUAD design): 2001 + 1200 + 7.
-    assert metrics["eigh.matrices"] == 3208
+    # The ring's secular solver takes every control where no two poles
+    # (k - Omega/2pi)^2 tie; numpy's eigh sees only the tie controls
+    # Omega = 0 and pi: the 7 single-control stacks (start and N = 3, 9
+    # targets of the linear ramp, start and target of each FAQUAD design)
+    # and the 2 end points of the 2001-point design grid. No midpoint of
+    # the 3 x 400 steps is a tie: 7 + 2.
+    assert metrics["eigh.matrices"] == 9
     # The many-body layers stay on the CLI path.
     assert metrics["tg.stack_at.s"] > 0
     assert metrics["tg.tg_fidelity.s"] > 0

@@ -1,12 +1,19 @@
-"""Frame tracking, sign continuity, and the Hellmann-Feynman couplings."""
+"""Frame tracking, sign continuity, the Hellmann-Feynman couplings, and
+the ring's secular eigensolver."""
 
+import ctypes
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cython_lapack
 
-from faquad import model, spectral, tg
-from faquad.errors import DegenerateGap
+from faquad import dynamics, model, protocol, spectral, tg
+from faquad.errors import DegenerateGap, FaquadError
 
 
 def _two_level_gap(spec, lam):
@@ -134,3 +141,139 @@ def test_sign_fix_handles_zero_overlap():
     fixed = spectral.sign_fix(rotated, ref)
     # Zero-overlap columns must pass through unscaled, never zeroed.
     assert np.array_equal(np.abs(fixed), np.abs(rotated))
+
+
+# The ring's secular solver (``spectral.eigh``) against numpy's dense eigh.
+# Errors measured over K in {1, 2, 20, 40, 60}, u0 in {0, 1e-12, 0.5, 4, 40}
+# and 400 random plus 13 special controls each (one BLAS thread), in units
+# of the level scale max(1, max|E|) where they scale with it:
+#   eigenvalues 1.6e-15, orthonormality 4.0e-15 (numpy's own, at a tie),
+#   residual |HV - VE| 2.4e-15, step propagator 1.3e-13 at dt = 90/4000,
+#   which is 1.4e-15 in units of dt * scale. The propagators also differ
+#   by the rounding of their unit-size entries, as the Gram matrices do,
+#   so their bound adds ORTH_TOL.
+# Each bound is the measured error times a margin of about 4.
+EIG_RTOL = 6e-15
+ORTH_TOL = 1.6e-14
+RESID_RTOL = 1e-14
+PROPAGATOR_RTOL = 6e-15
+STEP = 90.0 / 4000
+
+# Stirring controls a = Omega/2pi: exact pole ties (a a multiple of 1/2),
+# near-ties on both sides of them, and values past a = 1/2, which
+# miscalibrated drives reach.
+TIE_CONTROLS = (0.0, 1e-12, 2e-16, 0.5, 0.5 - 1e-7, 0.5 + 1e-7, 0.5 + 1e-15, 1.0,
+                0.55, 0.73, 1.3, 1.5 - 1e-12)
+
+
+def _propagators(energies, vectors):
+    phases = np.exp(-1j * energies * STEP)
+    return np.einsum("nij,nj,nkj->nik", vectors, phases, vectors)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(K=st.sampled_from((1, 2, 20, 40, 60)),
+       u0=st.sampled_from((0.0, 1e-12, 0.5, 4.0, 40.0)),
+       a=st.lists(st.sampled_from(TIE_CONTROLS) | st.floats(0.0, 1.5), min_size=1, max_size=4))
+def test_ring_secular_solver_matches_dense_eigh(K, u0, a):
+    spec = model.ring(u0=u0, K=K)
+    lams = 2.0 * math.pi * np.array(a)
+    energies, vectors = spectral.eigh(spec, lams)
+    H = model.hamiltonian(spec, lams)
+    expected, expected_vectors = np.linalg.eigh(H)
+    scale = np.maximum(1.0, np.abs(expected).max(axis=1))
+    assert np.all(np.abs(energies - expected).max(axis=1) <= EIG_RTOL * scale)
+    gram = np.einsum("nji,njk->nik", vectors, vectors)
+    assert np.abs(gram - np.eye(spec.dim)).max() <= ORTH_TOL
+    residual = np.abs(H @ vectors - vectors * energies[:, None, :]).max(axis=(1, 2))
+    assert np.all(residual <= RESID_RTOL * scale)
+    step_error = np.abs(_propagators(energies, vectors)
+                        - _propagators(expected, expected_vectors)).max(axis=(1, 2))
+    assert np.all(step_error <= ORTH_TOL + PROPAGATOR_RTOL * STEP * scale)
+
+
+def test_ring_solver_threads_share_no_buffers():
+    # ctypes releases the GIL during each LAPACK call, so threads solve at
+    # the same time; more threads than cores and a short switch interval
+    # make their calls interleave.
+    spec = model.ring(u0=0.5, K=20)
+    batches = [np.linspace(0.1, 3.0, 150) + 0.01 * j for j in range(6)]
+    serial = [spectral.eigh(spec, lams) for lams in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(spectral.eigh, spec, lams) for lams in batches]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (w0, v0), (w1, v1) in zip(serial, threaded):
+        assert np.array_equal(w0, w1) and np.array_equal(v0, v1)
+
+
+def test_ring_table_at_interior_controls_calls_no_dense_eigh(monkeypatch):
+    traj = protocol.linear_ramp(model.ring(u0=0.5, K=20))
+    counted = []
+    dense = np.linalg.eigh
+
+    def counting(a):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return dense(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    table = dynamics.MidpointTable(traj, 300)
+    assert counted == []
+    assert np.all(np.diff(table.eigvals, axis=1) > 0)
+    # The design grid's end points, Omega = 0 and pi, are tie controls.
+    spectral.frames(traj.spec, np.linspace(0.0, math.pi, 11))
+    assert counted == [2]
+
+
+def test_frames_at_tie_controls_keep_the_dense_columns_and_gauge(ring_spec):
+    for spec in (ring_spec, model.ring(u0=0.0, K=5)):
+        for lams in ([0.0], [math.pi], [0.0, math.pi]):
+            energies, vectors = np.linalg.eigh(model.hamiltonian(spec, np.array(lams)))
+            vectors[0] = spectral.gauge_fix_columns(vectors[0])
+            for k in range(1, len(lams)):
+                vectors[k] = spectral.sign_fix(vectors[k], vectors[k - 1])
+            got_energies, got_vectors = spectral.frames(spec, lams)
+            assert np.array_equal(got_energies, energies)
+            assert np.array_equal(got_vectors, vectors)
+
+
+def _handle_writing(info=0, energy=None):
+    """A stand-in for the dlaed9 handle that sets ``info`` and, if given,
+    writes ``energy`` as the first eigenvalue."""
+    def handle(*addresses):
+        if energy is not None:
+            ctypes.c_double.from_address(addresses[4]).value = energy
+        ctypes.c_int.from_address(addresses[12]).value = info
+    return handle
+
+
+@pytest.mark.parametrize("handle,message", [
+    (_handle_writing(info=3), "info 3"),
+    (_handle_writing(energy=float("nan")), "not finite"),
+], ids=["info", "nan"])
+def test_secular_solver_failure_names_the_control(monkeypatch, handle, message):
+    monkeypatch.setattr(spectral, "_DLAED9", handle)
+    spec = model.ring(u0=0.5, K=3)
+    with pytest.raises(FaquadError, match=message) as caught:
+        spectral.eigh(spec, np.array([0.0, 0.25, 0.5]))
+    assert "0.25" in str(caught.value)
+    # A sweep records the failure as a failed point instead of a number.
+    traj = protocol.linear_ramp(spec)
+    curve = tg.epsilon_sweep(1, traj, 5.0, epsilons=(0.0, 0.1), n_steps=20)
+    assert np.all(np.isnan(curve.fidelity))
+    assert [eps for eps, _ in curve.failures] == [0.0, 0.1]
+    assert all(message in text for _, text in curve.failures)
+
+
+def test_lapack_signature_mismatch_is_a_faquad_error():
+    capsules = cython_lapack.__pyx_capi__
+    spectral._dlaed9_handle(capsules)
+    with pytest.raises(FaquadError, match="declared"):
+        spectral._dlaed9_handle({"dlaed9": capsules["dsyevd"]})
+    with pytest.raises(FaquadError, match="no dlaed9"):
+        spectral._dlaed9_handle({})
