@@ -33,6 +33,7 @@ from . import dynamics as _dynamics
 from . import model as _model
 from . import perturbation as _perturbation
 from . import protocol as _protocol
+from . import spectral as _spectral
 from . import tg as _tg
 from .errors import ConfigError, FaquadError
 
@@ -311,7 +312,7 @@ def _cmd_spectrum(cfg, spec, run):
     levels = cfg.get("levels", min(5, spec.dim))
     points = cfg.get("points", 161)
     grid = np.linspace(spec.lambda_start, spec.lambda_end, points)
-    energies = np.linalg.eigvalsh(_model.hamiltonian(spec, grid))[:, :levels]
+    energies = _spectral.eigh(spec, grid)[0][:, :levels]
     rows = [(lam, n + 1, energies[i, n]) for i, lam in enumerate(grid) for n in range(levels)]
     _write_csv(run.path("spectrum.csv"), "lambda,n,energy", rows)
     if spec.kind == _model.RING:

@@ -133,7 +133,7 @@ def default_n_steps(traj: _protocol.NormalizedTrajectory, t_f: float, pair=None)
         pair = traj.pair if traj.pair is not None else (1, 2)
     lower, upper = _spectral._canonical_pair(pair, traj.spec.dim)
     lams = np.unique(traj.evaluate(np.linspace(0.0, 1.0, 129)))
-    energies = np.linalg.eigvalsh(_model.hamiltonian(traj.spec, lams))
+    energies = _spectral.eigh(traj.spec, lams)[0]
     gap_max = float(np.max(energies[:, upper - 1] - energies[:, lower - 1]))
     return int(max(MIN_STEPS, math.ceil(200.0 * t_f * gap_max / (2.0 * math.pi))))
 

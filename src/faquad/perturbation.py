@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as _model
 from . import protocol as _protocol
 from . import spectral as _spectral
 
@@ -61,7 +60,7 @@ def phase_integral(traj: _protocol.NormalizedTrajectory) -> float:
     gap = traj.gap
     if gap is None:
         i, j = _spectral._canonical_pair(traj.pair or (1, 2), traj.spec.dim)
-        energies = np.linalg.eigvalsh(_model.hamiltonian(traj.spec, traj.values))
+        energies = _spectral.eigh(traj.spec, traj.values)[0]
         gap = energies[:, j - 1] - energies[:, i - 1]
     return float(np.trapezoid(np.abs(gap), traj.s_grid))
 

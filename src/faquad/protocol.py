@@ -160,16 +160,11 @@ def design_track(spec: _model.ModelSpec, pairs,
     return _spectral.track_frames(spec, grid, pairs=pairs)
 
 
-def _pair_track(spec, pair, grid_points, track) -> _spectral.FrameTrack:
-    """``track`` checked against ``spec``, ``pair`` and ``grid_points``, or
-    a new track of ``pair`` on the design grid when it is None. A
-    ``grid_points`` of None takes the track's grid, or the default one."""
+def _pair_track(spec, pair, track) -> _spectral.FrameTrack:
+    """``track`` checked against ``spec`` and ``pair``, or a new track of
+    ``pair`` on the default design grid when it is None."""
     if track is None:
-        return design_track(spec, [pair],
-                            DEFAULT_GRID_POINTS if grid_points is None else grid_points)
-    if grid_points is not None and grid_points != len(track):
-        raise ValueError(f"grid_points={grid_points} differs from the track's "
-                         f"{len(track)} points")
+        return design_track(spec, [pair])
     if track.spec != spec:
         raise ValueError("the track belongs to a different model")
     if _spectral._canonical_pair(pair, spec.dim) not in track.pairs:
@@ -209,7 +204,6 @@ def _design_from_weight(track, weight, kind, pair) -> NormalizedTrajectory:
 
 
 def design_faquad(spec: _model.ModelSpec, pair=(1, 2),
-                  grid_points: int | None = None,
                   track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Fast quasi-adiabatic schedule for a tracked level pair.
 
@@ -217,17 +211,16 @@ def design_faquad(spec: _model.ModelSpec, pair=(1, 2),
     through avoided crossings. ``c_tilde`` comes out positive because the
     weight |coupling/gap| is integrated over arc length.
     """
-    track = _pair_track(spec, pair, grid_points, track)
+    track = _pair_track(spec, pair, track)
     weight = np.abs(track.coupling(pair) / track.gap(pair))
     return _design_from_weight(track, weight, FAQUAD, pair)
 
 
 def design_local_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
-                           grid_points: int | None = None,
                            track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Local-adiabatic competitor: drive speed proportional to gap^2,
     i.e. the same construction as FAQUAD without the coupling factor."""
-    track = _pair_track(spec, pair, grid_points, track)
+    track = _pair_track(spec, pair, track)
     weight = 1.0 / track.gap(pair) ** 2
     return _design_from_weight(track, weight, LOCAL_ADIABATIC, pair)
 
@@ -248,14 +241,13 @@ def _ua_weight(gap: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def design_uniform_adiabatic(spec: _model.ModelSpec, pair=(1, 2),
-                             grid_points: int | None = None,
                              track: _spectral.FrameTrack | None = None) -> NormalizedTrajectory:
     """Uniform-adiabatic competitor: drive speed gap^2 / |gap'|.
 
     The weight stays integrable through a gap minimum, where the
     resulting schedule shows its characteristic kink.
     """
-    track = _pair_track(spec, pair, grid_points, track)
+    track = _pair_track(spec, pair, track)
     weight = _ua_weight(track.gap(pair), track.grid)
     return _design_from_weight(track, weight, UNIFORM_ADIABATIC, pair)
 

@@ -2,9 +2,10 @@
 
 All model Hamiltonians are real symmetric, so eigenvectors can be kept
 real and made continuous along a grid by fixing the sign of each column
-against the previous grid point. ``eigh`` is the one eigensolver: the
-midpoint tables of ``dynamics`` and ``frames`` read their energies and
-vectors from it. ``frames`` is the one routine that applies the sign
+against the previous grid point. ``eigh`` is the one eigensolver, and
+this the one module that assembles H: the midpoint tables and step rule
+of ``dynamics``, ``frames``, the gap integral of ``perturbation`` and the
+``spectrum`` subcommand read their energies from it. ``frames`` is the one routine that applies the sign
 gauge; the tracked frames, single eigenstates, the orbital stacks of
 ``tg`` and the adiabatic projection of ``dynamics`` all read their
 eigenvectors from it. Level couplings are computed with the off-diagonal

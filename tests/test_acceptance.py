@@ -271,7 +271,8 @@ def test_criterion_09_property_suite(two_level_spec, two_level_faquad):
     checks["boundaries exact"] = (two_level_faquad.evaluate(0.0) == 66.7
                                   and two_level_faquad.evaluate(1.0) == 0.0)
 
-    fine = protocol.design_faquad(two_level_spec, grid_points=4001)
+    fine = protocol.design_faquad(
+        two_level_spec, track=protocol.design_track(two_level_spec, [(1, 2)], 4001))
     rich = abs(two_level_faquad.c_tilde - fine.c_tilde) / fine.c_tilde
     checks["richardson<0.1%"] = rich < 1e-3
 

@@ -72,7 +72,7 @@ def test_tracer_reports_the_default_step_rule_of_a_sweep(tracing, tmp_path, monk
     assert metrics["dynamics.table.builds"] == 1
     assert metrics["protocol.design.calls"] > 0
     assert metrics["dynamics.n_steps"] == manifest["derived"]["n_steps"] == 14162
-    # The 14162-step table, the 2001-point design grid and the start vector:
-    # 14162 + 2001 + 1. The prediction reads the design's gap and
-    # diagonalises nothing.
-    assert metrics["eigh.matrices"] == 16164
+    # The 14162-step table, the 2001-point design grid, the start vector
+    # and the step rule's 129 gap probes: 14162 + 2001 + 1 + 129. The
+    # prediction reads the design's gap and diagonalises nothing.
+    assert metrics["eigh.matrices"] == 16293

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +292,38 @@ def test_ring_designs_share_one_track(tmp_path, monkeypatch, args):
 
 
 RING_FLAGS = ["--model", "ring", "--u0", "0.5", "--K", "20"]
+
+
+def test_only_spectral_builds_and_diagonalises_a_hamiltonian(tmp_path, monkeypatch):
+    """Every subcommand assembles H only inside ``spectral.eigh``: the step
+    rule, the prediction's Phi and ``spectrum`` read their energies from it."""
+    from faquad import model
+    callers = set()
+    hamiltonian = model.hamiltonian
+
+    def recording(*args, **kwargs):
+        callers.add(sys._getframe(1).f_globals["__name__"])
+        return hamiltonian(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(model, "hamiltonian", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    tf_flags = ["--tf-min", "0.5", "--tf-max", "2", "--tf-count", "3"]
+    runs = [
+        ["design", *TWO_LEVEL_FLAGS, "--protocol", "faquad"],
+        ["spectrum", *TWO_LEVEL_FLAGS, "--points", "5"],
+        ["evolve", *TWO_LEVEL_FLAGS, "--protocol", "faquad", "--tf", "1.5"],
+        ["sweep-tf", *TWO_LEVEL_FLAGS, "--protocol", "faquad", *tf_flags],
+        ["sweep-tf", *TWO_LEVEL_FLAGS, "--protocol", "linear", *tf_flags],
+        ["spectrum", *RING_FLAGS, "--points", "5"],
+        ["sweep-eps", *RING_FLAGS, "--N", "3", "--tf", "10", "--eps", "0",
+         "--n-steps", "400"],
+    ]
+    for i, args in enumerate(runs):
+        assert cli.main(args + ["--out", str(tmp_path / str(i))]) == 0, args
+    assert callers == {"faquad.spectral"}
 
 
 @pytest.mark.parametrize("args,key", [

@@ -110,8 +110,10 @@ def test_competitor_profiles_are_not_constant(two_level_la):
 
 
 def test_design_grid_halving_richardson(two_level_spec):
-    coarse = protocol.design_faquad(two_level_spec, grid_points=2001)
-    fine = protocol.design_faquad(two_level_spec, grid_points=4001)
+    coarse = protocol.design_faquad(two_level_spec,
+                                    track=protocol.design_track(two_level_spec, [(1, 2)], 2001))
+    fine = protocol.design_faquad(two_level_spec,
+                                  track=protocol.design_track(two_level_spec, [(1, 2)], 4001))
     assert abs(coarse.c_tilde - fine.c_tilde) / fine.c_tilde < 1e-3
     s = np.linspace(0.0, 1.0, 513)
     sup = np.max(np.abs(coarse.evaluate(s) - fine.evaluate(s)))
@@ -226,14 +228,3 @@ def test_design_from_a_shared_track_is_the_standalone_design():
         protocol.design_faquad(spec, pair=(5, 6), track=track)
     with pytest.raises(ValueError):
         protocol.design_faquad(model.ring(u0=0.6, K=20), pair=(3, 4), track=track)
-
-
-def test_design_grid_points_must_match_a_given_track(two_level_spec):
-    track = protocol.design_track(two_level_spec, [(1, 2)])
-    with pytest.raises(ValueError, match="grid_points"):
-        protocol.design_faquad(two_level_spec, grid_points=11, track=track)
-    matched = protocol.design_faquad(two_level_spec, grid_points=len(track), track=track)
-    alone = protocol.design_faquad(two_level_spec, track=track)
-    assert matched.c_tilde == alone.c_tilde
-    assert np.array_equal(matched.s_grid, alone.s_grid)
-    assert np.array_equal(matched.values, alone.values)
