@@ -16,6 +16,13 @@ inverting the strictly monotone s(lambda) with a shape-preserving
 monotone interpolant. No stiff integration is involved, and c_tilde is
 exact up to quadrature error (checked by grid halving).
 
+The interpolant is the monotone piecewise cubic Hermite (PCHIP) of
+Fritsch & Carlson (SIAM J. Numer. Anal. 17, 238 (1980)), with the
+weighted-harmonic-mean interior slopes of Fritsch & Butland and Moler's
+one-sided end slopes. It is implemented here in numpy, step for step as
+``scipy.interpolate.PchipInterpolator`` computes it, so its values and
+derivatives are bit-identical to scipy's (checked by the tests).
+
 The competitor schedules reuse the same construction with different
 weights: local-adiabatic uses w = 1/gap^2, uniform-adiabatic uses
 w = |dgap/dlambda| / gap^2. Linear and constant schedules are closed
@@ -32,7 +39,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import model as _model
 from . import spectral as _spectral
@@ -59,6 +65,44 @@ def _clock(s) -> np.ndarray:
     return np.clip(s_arr, 0.0, 1.0)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope at an end knot, from the end
+    interval (width h0, secant m0) and its neighbour (h1, m1). It is set
+    to 0 where its sign differs from m0's, and to 3 m0 where it exceeds
+    that while the secants change sign, so the end keeps its shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients, shape (4, len(x) - 1), of the PCHIP through the knots
+    (x, y): per interval, the cubic in z = x - x_i with highest power
+    first. The knot slopes are the weighted harmonic means of the
+    neighbouring secants, 0 where the secants change sign or vanish, and
+    Moler's end slopes; two knots give the straight line. Each operation
+    is the one ``scipy.interpolate.PchipInterpolator`` performs, in its
+    order, so the coefficients are bit-identical to scipy's."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        turn = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(turn, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class NormalizedTrajectory:
     """A control schedule on the normalized clock s in [0, 1].
@@ -82,7 +126,7 @@ class NormalizedTrajectory:
     c_tilde: float | None = None
     pair: tuple | None = None
     gap: np.ndarray | None = None
-    _interp: object = field(init=False, repr=False, compare=False, default=None)
+    _interp: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -91,6 +135,10 @@ class NormalizedTrajectory:
         v = np.asarray(self.values, dtype=float)
         if s.ndim != 1 or s.shape != v.shape or len(s) < 2:
             raise ValueError("s_grid and values must be 1-d arrays of equal length >= 2")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("s_grid must contain only finite values")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("values must contain only finite values")
         if s[0] != 0.0 or s[-1] != 1.0 or np.any(np.diff(s) <= 0):
             raise ValueError("s_grid must increase strictly from 0 to 1")
         if self.kind in SWEEP_KINDS:
@@ -101,14 +149,24 @@ class NormalizedTrajectory:
             raise ValueError("gap must have the shape of s_grid")
         object.__setattr__(self, "s_grid", s)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_interp", PchipInterpolator(s, v))
+        object.__setattr__(self, "_interp", _pchip_coefficients(s, v))
+
+    def _local(self, s):
+        """The PCHIP coefficients of the interval holding each clipped
+        clock value, and its offset z from the interval's left knot. The
+        intervals are closed on the left, the last on both sides."""
+        knots = self.s_grid
+        i = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, len(knots) - 2)
+        return np.take(self._interp, i, axis=1), s - knots[i]
 
     def evaluate(self, s):
         """lambda_tilde(s) by monotone cubic interpolation. The boundary
         values are pinned exactly: polynomial evaluation at the very last
         knot would otherwise leak rounding error into lambda_end."""
         clipped = _clock(s)
-        out = self._interp(clipped)
+        c, z = self._local(clipped)
+        # scipy's PPoly sums the powers in this order; keep it bit for bit.
+        out = c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)
         out = np.where(clipped == 0.0, self.values[0], out)
         out = np.where(clipped == 1.0, self.values[-1], out)
         return float(out) if np.isscalar(s) else out
@@ -116,7 +174,9 @@ class NormalizedTrajectory:
     def derivative(self, s):
         """d lambda_tilde / d s of the interpolant, on the domain of
         ``evaluate``."""
-        out = self._interp.derivative()(_clock(s))
+        c, z = self._local(_clock(s))
+        # the order of scipy's PPoly.derivative and its evaluation
+        out = c[2] + 2 * c[1] * z + 3 * c[0] * (z * z)
         return float(out) if np.isscalar(s) else out
 
     def scaled(self, factor: float) -> "NormalizedTrajectory":

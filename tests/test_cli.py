@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import faquad
 from faquad import cli
 
 TWO_LEVEL_FLAGS = ["--model", "two-level", "--U", "22.3",
@@ -324,6 +327,30 @@ def test_only_spectral_builds_and_diagonalises_a_hamiltonian(tmp_path, monkeypat
     for i, args in enumerate(runs):
         assert cli.main(args + ["--out", str(tmp_path / str(i))]) == 0, args
     assert callers == {"faquad.spectral"}
+
+
+def test_import_loads_only_scipy_linalg():
+    """A fresh ``import faquad.cli`` loads scipy's LAPACK capsules for the
+    ring solver and none of the interpolate, optimize or special
+    subpackages; the root oracle imports ``brentq`` when it is called."""
+    code = (
+        "import sys\n"
+        "import faquad.cli\n"
+        "from faquad import model\n"
+        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.special')\n"
+        "loaded = sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy)\n"
+        "assert not loaded, loaded\n"
+        "assert 'scipy.linalg.cython_lapack' in sys.modules\n"
+        "print(model.ring_alpha_roots(0.5, 1.0, 3).tolist())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(faquad.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    roots = json.loads(done.stdout)
+    assert len(roots) == 3 and roots == sorted(roots)
 
 
 @pytest.mark.parametrize("args,key", [

@@ -250,3 +250,28 @@ def test_ring_truncation_error_scales_like_inverse_k():
     products = [errs[K] * K**3 for K in (100, 200, 400)]
     assert max(products) / min(products) < 1.25
     assert 0.9 * predicted < min(products) and max(products) < 1.1 * predicted
+
+
+def test_polygamma_matches_scipy():
+    from scipy.special import polygamma
+
+    for n in (1, 3):
+        x = np.arange(2.0, 202.0)  # K + 1 for K = 1..200
+        ours = np.array([model._polygamma(n, xi) for xi in x])
+        np.testing.assert_allclose(ours, polygamma(n, x), rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 20, 40, 60])
+@pytest.mark.parametrize("u0", [0.0, 0.5, 4.0])
+def test_ring_barrier_factor_matches_scipy_polygamma(K, u0):
+    from scipy.special import polygamma
+
+    gamma, v = model.ring_barrier_factor(model.RingParams(u0=u0, K=K))
+    g = u0 / (2.0 * math.pi**2)
+    tau = 2.0 * float(polygamma(1, K + 1))
+    sigma = float(polygamma(3, K + 1)) / 3.0
+    beta = -g * sigma / (2.0 * (1.0 + g * tau))
+    k = np.arange(-K, K + 1, dtype=float)
+    np.testing.assert_allclose(gamma, g / (1.0 + g * tau - 2.0 * g * beta * (2 * K + 1)),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(v, np.sqrt(1.0 + 2.0 * beta * k * k), rtol=1e-15, atol=0.0)

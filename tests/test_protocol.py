@@ -208,6 +208,69 @@ def test_trajectory_validation(two_level_spec):
                                       values=np.array([1.0, 0.0, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [protocol.LINEAR, protocol.CONSTANT])
+def test_non_finite_knots_are_rejected(two_level_spec, kind, bad):
+    # A NaN slips through the s_grid ordering test; it must not become a
+    # silent NaN schedule.
+    s = np.array([0.0, 0.4, 1.0])
+    values = np.array([3.0, 2.0, 1.0])
+    bad_s = s.copy()
+    bad_s[1] = bad
+    bad_values = values.copy()
+    bad_values[1] = bad
+    for grid, vals, name in ((bad_s, values, "s_grid"), (s, bad_values, "values")):
+        with pytest.raises(ValueError, match=f"{name} must contain only finite values"):
+            protocol.NormalizedTrajectory(kind=kind, spec=two_level_spec, s_grid=grid, values=vals)
+    if kind == protocol.CONSTANT:
+        with pytest.raises(ValueError, match="values must contain only finite values"):
+            protocol.constant_protocol(two_level_spec, bad)
+
+
+def _pchip_knot_sets():
+    """Knot sets (s, values) for the scipy comparison: seeded random
+    increasing and decreasing sets, 2 and 3 knots, and sets whose end
+    slopes take each limiter branch (checked in the test)."""
+    rng = np.random.default_rng(20140101)
+    sets = []
+    for n in (2, 3, 3, 5, 17, 64, 201):
+        for sign in (1.0, -1.0):
+            s = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+            values = sign * np.cumsum(rng.uniform(0.01, 1.0, n) ** 3) * rng.uniform(1.0, 80.0)
+            sets.append((s, values))
+    # d_0 = ((2 h0 + h1) m0 - h0 m1)/(h0 + h1) has the wrong sign: set to 0.
+    sets.append((np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 0.01, 5.0, 5.01])))
+    # secants change sign and |d_0| > 3 |m0|: clamped to 3 m0.
+    sets.append((np.array([0.0, 0.5, 0.51, 1.0]), np.array([0.0, 0.5, -0.5, 0.0])))
+    return sets
+
+
+def test_pchip_is_scipys_bit_for_bit(two_level_spec):
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(7)
+    branches = set()
+    for s, values in _pchip_knot_sets():
+        dv = np.diff(values)
+        monotone = np.all(dv > 0) or np.all(dv < 0)
+        traj = protocol.NormalizedTrajectory(
+            kind=protocol.FAQUAD if monotone else protocol.CONSTANT,
+            spec=two_level_spec, s_grid=s, values=values)
+        reference = PchipInterpolator(s, values)
+        q = np.concatenate([s, [0.0, 1.0], rng.uniform(0.0, 1.0, 257)])
+        # evaluate pins s = 1 to the last knot exactly; scipy's cubic there
+        # may round.
+        expected = np.where(q == 1.0, values[-1], reference(q))
+        assert np.array_equal(traj.evaluate(q), expected)
+        assert np.array_equal(traj.derivative(q), reference.derivative()(q))
+        assert traj.evaluate(float(q[-1])) == expected[-1]
+        assert traj.derivative(float(q[-1])) == reference.derivative()(q[-1])
+        m0 = (values[1] - values[0]) / s[1]
+        d0 = traj.derivative(0.0)
+        branches.add("zero" if d0 == 0.0 else "clamped" if d0 == 3.0 * m0 else "one-sided")
+    assert branches == {"zero", "clamped", "one-sided"}
+
+
 def test_adiabaticity_profile_requires_pair(two_level_spec):
     with pytest.raises(ValueError):
         protocol.adiabaticity_profile(protocol.linear_ramp(two_level_spec))
