@@ -37,16 +37,6 @@ from . import spectral as _spectral
 from . import tg as _tg
 from .errors import ConfigError, FaquadError
 
-_PROTOCOL_ALIASES = {
-    "faquad": _protocol.FAQUAD,
-    "la": _protocol.LOCAL_ADIABATIC,
-    "local-adiabatic": _protocol.LOCAL_ADIABATIC,
-    "ua": _protocol.UNIFORM_ADIABATIC,
-    "uniform-adiabatic": _protocol.UNIFORM_ADIABATIC,
-    "linear": _protocol.LINEAR,
-    "constant": _protocol.CONSTANT,
-}
-
 # The library function that builds each model kind, and the argument each
 # key of the model section passes to it. A key not given takes the
 # library's default.
@@ -100,7 +90,7 @@ _FLAGS = (
     ("--K", "model.K", {"type": int}, _at_least(MIN_RING_K)),
     ("--lambda-start", "model.lambda_start", {"type": float}, None),
     ("--lambda-end", "model.lambda_end", {"type": float}, None),
-    ("--protocol", "protocol.kind", {"choices": sorted(_PROTOCOL_ALIASES)}, None),
+    ("--protocol", "protocol.kind", {"choices": sorted(_protocol.KINDS)}, None),
     ("--pair", "protocol.pair", {"nargs": 2, "type": int, "metavar": ("I", "J")}, None),
     ("--grid-points", "protocol.grid_points", {"type": int}, _at_least(2)),
     ("--value", "protocol.value", {"type": float, "help": "constant protocol level"}, None),
@@ -200,7 +190,7 @@ def _build_trajectories(spec, proto: dict, pairs) -> list:
     """The trajectory of ``proto`` at each level pair in ``pairs``, which a
     pair given in ``proto`` overrides. The designed kinds diagonalise their
     grid once for every pair, and that track is dropped on return."""
-    kind = _PROTOCOL_ALIASES[proto.get("kind", "faquad")]
+    kind = proto.get("kind", _protocol.FAQUAD)
     pairs = [tuple(proto.get("pair", pair)) for pair in pairs]
     designers = {_protocol.FAQUAD: _protocol.design_faquad,
                  _protocol.LOCAL_ADIABATIC: _protocol.design_local_adiabatic,
@@ -217,11 +207,6 @@ def _build_trajectories(spec, proto: dict, pairs) -> list:
         return [_protocol.constant_protocol(spec, float(proto["value"]))] * len(pairs)
     except ValueError as exc:
         raise ConfigError(f"invalid protocol parameters: {exc}") from exc
-
-
-def _build_trajectory(spec, proto: dict) -> _protocol.NormalizedTrajectory:
-    (traj,) = _build_trajectories(spec, proto, [(1, 2)])
-    return traj
 
 
 def _workers() -> int:
@@ -289,8 +274,11 @@ class _Run:
         return 0
 
 
-def _trajectory_rows(traj):
-    return zip(traj.s_grid, traj.values)
+def _check_some_point_ran(values):
+    """Raise FaquadError, before a sweep step writes its CSV, if every
+    value of the sweep is NaN: then every point failed."""
+    if np.all(np.isnan(values)):
+        raise FaquadError("every sweep point failed")
 
 
 def _n_steps(cfg):
@@ -298,8 +286,8 @@ def _n_steps(cfg):
 
 
 def _cmd_design(cfg, spec, run):
-    traj = _build_trajectory(spec, cfg.get("protocol", {}))
-    _write_csv(run.path("trajectory.csv"), "s,lambda", _trajectory_rows(traj))
+    (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
+    _write_csv(run.path("trajectory.csv"), "s,lambda", zip(traj.s_grid, traj.values))
     run.derive("kind", traj.kind)
     if traj.c_tilde is not None:
         pred = _perturbation.predict(traj)
@@ -328,7 +316,7 @@ def _cmd_evolve(cfg, spec, run):
     if "tf" not in sweep:
         raise ConfigError("config.sweep.tf is required for evolve")
     t_f = float(sweep["tf"])
-    traj = _build_trajectory(spec, cfg.get("protocol", {}))
+    (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
     n_save = cfg.get("integrator", {}).get("n_save", 401)
     start = cfg.get("start", _dynamics.GROUND)
 
@@ -354,13 +342,12 @@ def _cmd_evolve(cfg, spec, run):
 
 def _cmd_sweep_tf(cfg, spec, run):
     tf_grid = _tf_grid(cfg.get("sweep", {}))
-    traj = _build_trajectory(spec, cfg.get("protocol", {}))
+    (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
     start = cfg.get("start", _dynamics.GROUND)
     target = cfg.get("target", 1)
     curve = _dynamics.fidelity_sweep(traj, tf_grid, start=start, target=target,
                                      n_steps=_n_steps(cfg), workers=run.workers)
-    if np.all(np.isnan(curve.population)):
-        raise FaquadError("every sweep point failed")
+    _check_some_point_ran(curve.population)
 
     _write_csv(run.path("sweep.csv"), "tf,population", zip(curve.tf, curve.population))
     run.derive("n_steps", curve.n_steps)
@@ -394,8 +381,7 @@ def _cmd_sweep_eps(cfg, spec, run):
         run.failures({"N": N, "epsilon": e, "error": m} for e, m in curve.failures)
         if traj.c_tilde is not None:
             run.derive(f"c_tilde_N{N}", traj.c_tilde)
-    if all(np.isnan(r[1]) for r in rows):
-        raise FaquadError("every sweep point failed")
+    _check_some_point_ran([r[1] for r in rows])
     _write_csv(run.path("epsilon.csv"), "epsilon,fidelity,N", rows)
     run.derive("tf", t_f)
 
@@ -403,15 +389,11 @@ def _cmd_sweep_eps(cfg, spec, run):
 # fig5b and fig6a have no subcommand that does their job at the same cost,
 # so they run as preset-only steps. Each designs its own FAQUAD schedule at
 # the level pair (N, N + 1) for every N in sweep.N, all from one track.
-def _ring_designs(spec, ns):
-    return _build_trajectories(spec, {}, [(N, N + 1) for N in ns])
-
-
 def _figure_ring_trajectories(cfg, spec, run):
     """The FAQUAD schedule of each N, one trajectory_N<N>.csv apiece."""
     ns = cfg["sweep"]["N"]
-    for N, traj in zip(ns, _ring_designs(spec, ns)):
-        _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", _trajectory_rows(traj))
+    for N, traj in zip(ns, _build_trajectories(spec, {}, [(N, N + 1) for N in ns])):
+        _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", zip(traj.s_grid, traj.values))
         run.derive(f"c_tilde_N{N}", traj.c_tilde)
 
 
@@ -421,13 +403,13 @@ def _figure_tg_duration(cfg, spec, run):
     one sweep serves all its fillings."""
     tf_grid = _tf_grid(cfg["sweep"])
     ns = cfg["sweep"]["N"]
-    designs = _ring_designs(spec, ns)
+    designs = _build_trajectories(spec, {}, [(N, N + 1) for N in ns])
 
     def sweep(traj, fillings):
         return _tg.duration_sweep(fillings, traj, tf_grid, n_steps=_n_steps(cfg),
                                   workers=run.workers)
 
-    linear = dict(zip(ns, sweep(_build_trajectory(spec, {"kind": "linear"}), ns)))
+    linear = dict(zip(ns, sweep(_protocol.linear_ramp(spec), ns)))
     rows = []
     for N, traj in zip(ns, designs):
         (faquad,) = sweep(traj, [N])
@@ -436,6 +418,7 @@ def _figure_tg_duration(cfg, spec, run):
             rows.extend((t, f, N, kind) for t, f in zip(curve.abscissa, curve.fidelity))
             run.failures({"N": N, "protocol": kind, "tf": t, "error": m}
                          for t, m in curve.failures)
+    _check_some_point_ran([r[1] for r in rows])
     _write_csv(run.path("tg_sweep.csv"), "tf,fidelity,N,protocol", rows)
 
 

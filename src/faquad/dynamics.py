@@ -97,9 +97,6 @@ class AdiabaticProjection:
     g: np.ndarray
     W: dict
 
-    def g_level(self, n: int) -> np.ndarray:
-        return self.g[:, n - 1]
-
     @property
     def sum_rule_error(self) -> float:
         totals = np.sum(np.abs(self.g) ** 2, axis=1)
@@ -141,12 +138,6 @@ def default_n_steps(traj: _protocol.NormalizedTrajectory, t_f: float, pair=None)
 def _midpoint_controls(traj, n_steps):
     """Control values at the step midpoints s = (k + 1/2)/n_steps."""
     return np.asarray(traj.evaluate((np.arange(n_steps) + 0.5) / n_steps), dtype=float)
-
-
-def _midpoint_eigh(spec, lams):
-    """Yield (lo, eigvals, eigvecs) of H at lams, _CHUNK values at a time."""
-    for lo in range(0, len(lams), _CHUNK):
-        yield (lo, *_spectral.eigh(spec, lams[lo : lo + _CHUNK]))
 
 
 class MidpointTable:
@@ -290,7 +281,9 @@ def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
         chunks = ((lo, table.eigvals[lo : lo + _CHUNK], table.eigvecs[lo : lo + _CHUNK])
                   for lo in range(0, n_steps, _CHUNK))
     else:
-        chunks = _midpoint_eigh(spec, _midpoint_controls(traj, n_steps))
+        lams = _midpoint_controls(traj, n_steps)
+        chunks = ((lo, *_spectral.eigh(spec, lams[lo : lo + _CHUNK]))
+                  for lo in range(0, n_steps, _CHUNK))
     # psi and work are C-contiguous (dim, m) complex arrays, so their
     # float64 views are (dim, 2m) with each real part beside its imaginary
     # part, and a step is two real matrix products with the eigenvectors.
@@ -314,16 +307,6 @@ def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
                            control=control, n_steps=n_steps)
 
 
-def final_population(result: EvolutionResult, target_index: int) -> float:
-    """Squared modulus of the 1-based bare amplitude at t_f."""
-    psi = result.final_state
-    if psi.ndim != 1:
-        raise ValueError("final_population is defined for single-state evolutions")
-    if not 1 <= target_index <= len(psi):
-        raise ValueError(f"target index must lie in 1..{len(psi)}")
-    return float(np.abs(psi[target_index - 1]) ** 2)
-
-
 def _start_vector(traj, start):
     if start == GROUND:
         return _spectral.eigenstate(traj.spec, float(traj.evaluate(0.0)), 1)
@@ -344,8 +327,8 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     one midpoint table if it fits. Small models take the tree product and
     keep only the table's ``StepOverlaps``; their final states get the
     same norm check as ``evolve``."""
-    if np.any(tf_arr <= 0):
-        raise ValueError("all durations must be positive")
+    if not np.all(np.isfinite(tf_arr) & (tf_arr > 0)):
+        raise ValueError("all durations must be positive and finite")
     if n_steps is None:
         n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)

@@ -46,27 +46,16 @@ KINDS = (TWO_LEVEL, BOSE_HUBBARD3, RING)
 
 
 @dataclass(frozen=True)
-class TwoLevelParams:
-    """Two-level model parameters. J is the energy unit and defaults to 1."""
+class BiasParams:
+    """Interaction U and hopping J of the bias-controlled models, two-level
+    and bose-hubbard-3. J is the energy unit and defaults to 1."""
 
     U: float
     J: float = 1.0
 
     def __post_init__(self):
-        if not (self.U > 0 and self.J > 0):
-            raise ValueError("two-level model requires U > 0 and J > 0")
-
-
-@dataclass(frozen=True)
-class BoseHubbard3Params:
-    """Two-site Bose-Hubbard parameters for the three-state truncation."""
-
-    U: float
-    J: float = 1.0
-
-    def __post_init__(self):
-        if not (self.U > 0 and self.J > 0):
-            raise ValueError("bose-hubbard-3 model requires U > 0 and J > 0")
+        if not (0 < self.U < math.inf and 0 < self.J < math.inf):
+            raise ValueError("bias models require finite U > 0 and J > 0")
 
 
 @dataclass(frozen=True)
@@ -126,12 +115,12 @@ class ModelSpec:
 
 def two_level(U: float, delta_start: float, delta_end: float, J: float = 1.0) -> ModelSpec:
     """Two-level model with bias swept from delta_start to delta_end."""
-    return ModelSpec(TWO_LEVEL, TwoLevelParams(U=U, J=J), delta_start, delta_end)
+    return ModelSpec(TWO_LEVEL, BiasParams(U=U, J=J), delta_start, delta_end)
 
 
 def bose_hubbard3(U: float, delta_start: float, delta_end: float, J: float = 1.0) -> ModelSpec:
     """Three-state Bose-Hubbard dimer with bias swept between the given values."""
-    return ModelSpec(BOSE_HUBBARD3, BoseHubbard3Params(U=U, J=J), delta_start, delta_end)
+    return ModelSpec(BOSE_HUBBARD3, BiasParams(U=U, J=J), delta_start, delta_end)
 
 
 def ring(u0: float, K: int = 40, omega_start: float = 0.0, omega_end: float = math.pi) -> ModelSpec:
@@ -381,7 +370,3 @@ def ring_alpha_roots(omega: float, u0: float, count: int) -> np.ndarray:
         raise RootBracketError(len(roots), f"only {len(roots)} roots found, {count} requested")
     return np.array(roots[:count])
 
-
-def ring_energies_from_roots(omega: float, u0: float, count: int) -> np.ndarray:
-    """Energies E0 * alpha_n^2 for the first ``count`` transcendental roots."""
-    return ring_alpha_roots(omega, u0, count) ** 2

@@ -204,11 +204,6 @@ class TimedControl:
     def value(self, t):
         return self.trajectory.evaluate(np.asarray(t, dtype=float) / self.t_f)
 
-    @property
-    def c(self) -> float | None:
-        ct = self.trajectory.c_tilde
-        return None if ct is None else ct / self.t_f
-
 
 def design_track(spec: _model.ModelSpec, pairs,
                  grid_points: int = DEFAULT_GRID_POINTS) -> _spectral.FrameTrack:

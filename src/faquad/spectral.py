@@ -117,9 +117,6 @@ class FrameTrack:
         arr = self.couplings[(ci, cj)]
         return arr if (i, j) == (ci, cj) else -arr
 
-    def __len__(self) -> int:
-        return len(self.grid)
-
 
 def _canonical_pair(pair, dim):
     if len(pair) != 2:

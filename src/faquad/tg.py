@@ -106,6 +106,8 @@ def epsilon_sweep(N: int, traj: _protocol.NormalizedTrajectory, t_f: float,
     state at the nominal final control. eps = -1 freezes the control at
     zero; values below -1 are rejected.
     """
+    if not (np.isfinite(t_f) and t_f > 0):
+        raise ValueError("t_f must be positive and finite")
     spec = traj.spec
     _check_odd_n(spec, N)
     eps_arr = np.asarray(list(epsilons), dtype=float)

@@ -206,7 +206,7 @@ def test_criterion_06_ring_spectrum_against_roots():
     free = model.ring(u0=0.0, K=60)
     for omega, pairs in ((0.0, ((2, 3), (4, 5))), (math.pi, ((1, 2), (3, 4)))):
         energies = np.linalg.eigvalsh(model.hamiltonian(free, omega))[:6]
-        exact = np.sort(model.ring_energies_from_roots(omega, 0.0, 6))
+        exact = np.sort(model.ring_alpha_roots(omega, 0.0, 6) ** 2)
         assert np.max(np.abs(energies - exact)) <= 1e-12
         for i, j in pairs:
             assert abs(energies[i - 1] - energies[j - 1]) <= 1e-12
@@ -217,7 +217,7 @@ def test_criterion_06_ring_spectrum_against_roots():
     spec = model.ring(u0=4.0, K=60)
     for omega in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         matrix = np.linalg.eigvalsh(model.hamiltonian(spec, omega))[:5]
-        exact = model.ring_energies_from_roots(omega, 4.0, 5)
+        exact = model.ring_alpha_roots(omega, 4.0, 5) ** 2
         worst = max(worst, float(np.max(np.abs(matrix - exact))))
     ok = worst <= 1e-4
     _report(6, ok, f"free-ring degeneracies <= 1e-12: True; "

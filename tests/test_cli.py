@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary output directories."""
 
+import argparse
 import json
 import math
 import os
@@ -434,6 +435,43 @@ def test_every_key_is_declared_once_and_read():
     read = set().union(*cli._READS.values())
     assert read <= set(names)
     assert {name for name in names if not name.startswith("model.")} <= read
+
+
+def test_protocol_choices_are_the_protocol_kinds(tmp_path):
+    from faquad import protocol
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        (flag,) = [a for a in command._actions if "--protocol" in a.option_strings]
+        assert flag.choices == sorted(protocol.KINDS), name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", *TWO_LEVEL_FLAGS, "--protocol", "la", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "ua.json"
+    cfg.write_text(json.dumps({"protocol": {"kind": "ua"}}))
+    assert cli.main(["design", *TWO_LEVEL_FLAGS, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,csv", [
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5", "--tf-max", "2", "--tf-count", "3",
+      "--n-steps", "400"], "sweep.csv"),
+    (["sweep-eps", "--model", "ring", "--u0", "0.5", "--K", "20", "--N", "3", "--tf", "10",
+      "--eps", "0", "--n-steps", "400"], "epsilon.csv"),
+    (["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2"], "tg_sweep.csv"),
+], ids=["sweep-tf", "sweep-eps", "fig6a"])
+def test_a_sweep_whose_every_point_fails_exits_3(tmp_path, monkeypatch, capsys, args, csv):
+    from faquad import dynamics
+    from faquad.errors import StepSizeTooCoarse
+
+    def failing(*_, **__):
+        raise StepSizeTooCoarse("forced")
+
+    monkeypatch.setattr(dynamics, "_check_norm", failing)
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 3
+    assert "every sweep point failed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / csv).exists()
 
 
 def test_constant_protocol_requires_value(tmp_path):

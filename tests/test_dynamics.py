@@ -29,11 +29,11 @@ def test_pi_pulse_rabi_oracle(two_level_spec):
 
     control = protocol.rescale(traj, PI_PULSE_TIME)
     result = dynamics.evolve(control, psi0, n_steps=2000)
-    assert dynamics.final_population(result, 2) == pytest.approx(1.0, abs=1e-10)
+    assert float(np.abs(result.final_state[1]) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     control = protocol.rescale(traj, 2.0 * PI_PULSE_TIME)
     result = dynamics.evolve(control, psi0, n_steps=2000)
-    assert dynamics.final_population(result, 1) == pytest.approx(1.0, abs=1e-10)
+    assert float(np.abs(result.final_state[0]) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     times = np.linspace(PI_PULSE_TIME - 0.01, PI_PULSE_TIME + 0.01, 2001)
     curve = dynamics.fidelity_sweep(traj, times,
@@ -164,7 +164,7 @@ def test_projection_initial_value_and_sum_rule(two_level_spec, two_level_faquad)
     # E_1 < E_2 makes beta_1 - beta_2 strictly decreasing
     assert np.all(np.diff(proj.W[(1, 2)]) < 0)
 
-    g2 = np.abs(proj.g_level(2)) ** 2
+    g2 = np.abs(proj.g[:, 1]) ** 2
     predicted = perturbation.predicted_infidelity(pred, t_f)
     assert g2[-1] == pytest.approx(predicted, rel=0.2)
 
@@ -184,7 +184,7 @@ def test_endpoint_bare_adiabatic_consistency():
     control = protocol.rescale(traj, t_f)
     psi0 = spectral.eigenstate(spec, 66.7, level=1).astype(complex)
     result = dynamics.evolve(control, psi0, n_steps=8192)
-    bare = dynamics.final_population(result, 1)
+    bare = float(np.abs(result.final_state[0]) ** 2)
     adiabatic = float(np.abs(np.vdot(phi_end, result.final_state)) ** 2)
     assert abs(bare - adiabatic) < 1e-3
 
@@ -210,7 +210,7 @@ def test_sweep_tree_product_matches_stepwise(two_level_spec, two_level_faquad):
     psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
     result = dynamics.evolve(control, psi0, n_steps=4096)
     assert curve.population[0] == pytest.approx(
-        dynamics.final_population(result, 1), abs=1e-10)
+        float(np.abs(result.final_state[0]) ** 2), abs=1e-10)
 
 
 def test_sweep_ground_target(two_level_faquad):
@@ -222,9 +222,27 @@ def test_sweep_ground_target(two_level_faquad):
     assert curve.population[0] > 0.999
 
 
-def test_sweep_rejects_bad_durations(two_level_faquad):
+def test_sweep_rejects_bad_durations(two_level_faquad, monkeypatch):
     with pytest.raises(ValueError):
         dynamics.fidelity_sweep(two_level_faquad, [1.0, -2.0])
+
+    # A NaN or infinite duration is rejected before the step rule runs or
+    # a table is built, with or without an explicit step count.
+    def refused(*args, **kwargs):
+        raise AssertionError("the step rule or a table was reached")
+
+    monkeypatch.setattr(dynamics, "default_n_steps", refused)
+    monkeypatch.setattr(dynamics, "MidpointTable", refused)
+    ring = protocol.linear_ramp(model.ring(u0=0.5, K=2))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="durations"):
+            dynamics.fidelity_sweep(two_level_faquad, [1.0, bad], n_steps=2000)
+        with pytest.raises(ValueError, match="durations"):
+            dynamics.fidelity_sweep(two_level_faquad, [1.0, bad])
+        with pytest.raises(ValueError, match="durations"):
+            tg.duration_sweep([3], ring, [bad], n_steps=400)
+        with pytest.raises(ValueError, match="t_f"):
+            tg.epsilon_sweep(1, ring, bad)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3])

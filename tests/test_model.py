@@ -103,6 +103,11 @@ def test_constructor_validation():
         model.two_level(U=1.0, J=0.0, delta_start=1.0, delta_end=0.0)
     with pytest.raises(ValueError):
         model.two_level(U=1.0, delta_start=1.0, delta_end=1.0)
+    for build in (model.two_level, model.bose_hubbard3):
+        for U, J in ((-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.inf),
+                     (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite U > 0 and J > 0"):
+                build(U=U, J=J, delta_start=1.0, delta_end=0.0)
     with pytest.raises(ValueError):
         model.ring(u0=-0.5)
     with pytest.raises(ValueError):
@@ -194,7 +199,7 @@ def test_ring_root_count_and_validation():
     with pytest.raises(ValueError):
         model.ring_alpha_roots(0.5, 1.0, 0)
     assert len(model.ring_alpha_roots(0.5, 1.0, 9)) == 9
-    assert len(model.ring_energies_from_roots(0.5, 1.0, 4)) == 4
+    assert len(model.ring_alpha_roots(0.5, 1.0, 4) ** 2) == 4
 
 
 def test_ring_matrix_matches_roots_at_k60():
@@ -205,7 +210,7 @@ def test_ring_matrix_matches_roots_at_k60():
     for omega in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
         spec = model.ring(u0=4.0, K=60)
         matrix = np.linalg.eigvalsh(model.hamiltonian(spec, omega))[:5]
-        exact = model.ring_energies_from_roots(omega, 4.0, 5)
+        exact = model.ring_alpha_roots(omega, 4.0, 5) ** 2
         worst = max(worst, float(np.max(np.abs(matrix - exact))))
     assert worst <= 1e-4, f"worst energy residual {worst:.3e} E0 exceeds 1e-4 E0"
 
@@ -238,8 +243,8 @@ def test_ring_truncation_error_scales_like_inverse_k():
     alphas = model.ring_alpha_roots(omega, u0, 5)
     exact = alphas**2
     h = 1e-6 * u0
-    dE_dg = (2 * math.pi**2) * (model.ring_energies_from_roots(omega, u0 + h, 5)
-                                - model.ring_energies_from_roots(omega, u0 - h, 5)) / (2 * h)
+    dE_dg = (2 * math.pi**2) * (model.ring_alpha_roots(omega, u0 + h, 5) ** 2
+                                - model.ring_alpha_roots(omega, u0 - h, 5) ** 2) / (2 * h)
     R = (math.pi / 2) * (1 / np.tan(math.pi * (alphas + a)) - 1 / np.tan(math.pi * (alphas - a)))
     predicted = float(np.max((2.0 / 3.0) * g * g * dE_dg * np.abs(2 * g * a * R - 2 * a * a)))
     errs = {}

@@ -62,7 +62,7 @@ def test_prediction_tracks_projection(two_level_faquad):
     psi0 = dynamics._start_vector(two_level_faquad, "ground").astype(complex)
     result = dynamics.evolve(control, psi0, n_steps=8192)
     proj = dynamics.adiabatic_projection(result)
-    measured = float(np.abs(proj.g_level(2)[-1]) ** 2)
+    measured = float(np.abs(proj.g[-1, 1]) ** 2)
     assert measured == pytest.approx(perturbation.predicted_infidelity(pred, t_f), rel=0.2)
 
 
