@@ -285,6 +285,14 @@ def _n_steps(cfg):
     return cfg.get("integrator", {}).get("n_steps")
 
 
+def _derive_frame(run, curve, suffix=""):
+    """The adiabatic levels a sweep stepped and their leakage, if it took
+    a frame pass."""
+    if curve.frame_levels is not None:
+        run.derive(f"frame_levels{suffix}", curve.frame_levels)
+        run.derive(f"frame_leakage{suffix}", curve.frame_leakage)
+
+
 def _cmd_design(cfg, spec, run):
     (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
     _write_csv(run.path("trajectory.csv"), "s,lambda", zip(traj.s_grid, traj.values))
@@ -351,6 +359,7 @@ def _cmd_sweep_tf(cfg, spec, run):
 
     _write_csv(run.path("sweep.csv"), "tf,population", zip(curve.tf, curve.population))
     run.derive("n_steps", curve.n_steps)
+    _derive_frame(run, curve)
     run.failures({"tf": t, "error": m} for t, m in curve.failures)
     if traj.c_tilde is not None:
         pred = _perturbation.predict(traj)
@@ -410,10 +419,12 @@ def _figure_tg_duration(cfg, spec, run):
                                   workers=run.workers)
 
     linear = dict(zip(ns, sweep(_protocol.linear_ramp(spec), ns)))
+    _derive_frame(run, linear[ns[0]], "_linear")
     rows = []
     for N, traj in zip(ns, designs):
         (faquad,) = sweep(traj, [N])
         run.derive(f"c_tilde_N{N}", traj.c_tilde)
+        _derive_frame(run, faquad, f"_faquad_N{N}")
         for kind, curve in (("faquad", faquad), ("linear", linear[N])):
             rows.extend((t, f, N, kind) for t, f in zip(curve.abscissa, curve.fidelity))
             run.failures({"N": N, "protocol": kind, "tf": t, "error": m}

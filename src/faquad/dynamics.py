@@ -30,6 +30,22 @@ duration costs the phases, one scaling of the overlap rows and the tree
 product. The factors are stored structure-of-arrays, as one (d, d, n)
 array with the step index last, so each level of the tree is a few
 elementwise multiply-adds on the component vectors of the factors.
+
+Larger models (the ring) step every duration of a sweep in one pass, in
+the frame of the lowest M adiabatic levels of the table. With
+psi = V_k[:, :M] c, a step is
+
+    c <- P_k O_k c,   O_k = V_k[:, :M]^T V_{k-1}[:, :M],
+
+one real (M, M) product shared by all durations, then the phases P_k of
+each duration; the final state is V_{n-1}[:, :M] c. The overlaps are
+formed one chunk of steps at a time, so only the table is kept. The
+leakage, 1 minus the smallest squared column norm of c in its lowest
+M - FRAME_GUARD levels, is measured at the end: M starts at FRAME_LEVELS
+and doubles while the leakage exceeds LEAKAGE_LIMIT, up to M = dim, the
+exact untruncated case. Truncation moves ring fidelities at the 1e-10
+level against stepping in the bare basis (``evolve``), which a sweep
+still does when its table does not fit in memory.
 """
 
 from __future__ import annotations
@@ -57,7 +73,18 @@ TABLE_ENTRY_BUDGET = 60_000_000
 # of the streaming time at d = 5 and at most about half at d = 7 (ring
 # models with K = 2 and 3).
 TREE_PRODUCT_MAX_DIM = 8
+# Adiabatic levels a large-model sweep steps first, and the largest leakage
+# out of them it accepts; past the limit the level count doubles. The
+# leakage counts the top FRAME_GUARD levels of the frame as lost: the norm
+# that left the frame alone missed a stack that reaches the cut (at K = 40
+# and 4000 steps, N = 31 in 32 levels leaked 5.4e-11 of it, yet its
+# fidelity was off by 1.4e-7).
+FRAME_LEVELS = 32
+FRAME_GUARD = 4
+LEAKAGE_LIMIT = 1e-9
 _CHUNK = 512
+# Float64 entries of the per-chunk scratch of a frame pass (2 MB).
+_FRAME_CHUNK_ENTRIES = 2 ** 18
 # Factor pairs per vector operation of the tree product; bounds its scratch.
 _TREE_CHUNK = 4096
 
@@ -111,6 +138,9 @@ class SweepCurve:
     population: np.ndarray
     failures: list = field(default_factory=list)
     n_steps: int | None = None
+    # Adiabatic levels stepped and their leakage, for a frame pass.
+    frame_levels: int | None = None
+    frame_leakage: float | None = None
 
 
 def bare_state(spec: _model.ModelSpec, index: int) -> np.ndarray:
@@ -320,15 +350,91 @@ def _population_of(traj, target, psi):
     return float(np.abs(psi[int(target) - 1]) ** 2)
 
 
-def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
-    """(n_steps, final): final(t_f) is psi0, a vector or a (dim, m) stack,
-    evolved along ``traj`` played over t_f. All durations share the step
-    count (by default the largest rule of ``pairs`` at the longest one) and
-    one midpoint table if it fits. Small models take the tree product and
-    keep only the table's ``StepOverlaps``; their final states get the
-    same norm check as ``evolve``."""
+def _padded(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` in the leading corner of a zero array of ``shape``."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
+
+
+def _frame_pass(table: MidpointTable, stack: np.ndarray, tf_arr: np.ndarray, levels: int):
+    """(finals, leakage): the (dim, m) ``stack`` stepped along ``table``
+    in its lowest ``levels`` adiabatic levels, for every duration of
+    ``tf_arr`` at once. finals[i] is the final (dim, m) stack at
+    tf_arr[i]; leakage is 1 minus the smallest squared column norm left
+    in the lowest ``levels`` - FRAME_GUARD of them (all of them when
+    ``levels`` is dim)."""
+    n = table.n_steps
+    dim, m = stack.shape
+    vecs = table.eigvecs[:, :, :levels]
+    dts = tf_arr / n
+    # The coefficients are real rows (duration, column, re/im), so a step
+    # is one real (rows, M) @ (M, M) product with O_k^T, the same for every
+    # duration, then the phases. OpenBLAS (0.3.31) gives a row the same bits
+    # for any number of rows only when a product has a multiple of 8 columns, so
+    # every product is padded with zeros to one: the leading columns of a
+    # wide stack then evolve exactly as a narrow stack does.
+    width = -(-levels // 8) * 8
+    parts = np.stack([stack.T.real, stack.T.imag], axis=1).reshape(2 * m, dim)
+    work = np.empty((len(dts), m, 2, width))
+    work[:] = (parts @ _padded(vecs[0], (dim, width))).reshape(m, 2, width)
+    coef, turn = np.empty_like(work), np.empty_like(work)
+    flat, work_flat = coef.reshape(-1, width), work.reshape(-1, width)
+    # Steps per chunk: its overlaps and its four phase arrays stay within
+    # _FRAME_CHUNK_ENTRIES, so the pass adds little to the table's memory.
+    span = max(1, min(_CHUNK, _FRAME_CHUNK_ENTRIES // (width * (width + 4 * len(dts)))))
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
+        # Rotation by exp(-i E dt) acting on (re, im): cos on both parts,
+        # plus (-sin, sin) on the swapped (im, re).
+        angles = np.zeros((hi - lo, len(dts), width))
+        np.multiply(table.eigvals[lo:hi, None, :levels], -dts[None, :, None],
+                    out=angles[:, :, :levels])
+        cos = np.cos(angles)[:, :, None, None, :]
+        signed = np.empty((hi - lo, len(dts), 1, 2, width))
+        np.sin(angles, out=signed[:, :, 0, 1])
+        del angles
+        np.negative(signed[:, :, 0, 1], out=signed[:, :, 0, 0])
+        # O_k^T = V_{k-1}[:, :M]^T V_k[:, :M]; step 0 has none.
+        first = max(lo, 1)
+        overlaps = np.zeros((hi - first, width, width))
+        np.matmul(vecs[first - 1 : hi - 1].transpose(0, 2, 1), vecs[first:hi],
+                  out=overlaps[:, :levels, :levels])
+        for k in range(lo, hi):
+            if k:
+                np.matmul(flat, overlaps[k - first], out=work_flat)
+            np.multiply(work, cos[k - lo], out=coef)
+            np.multiply(work[:, :, ::-1], signed[k - lo], out=turn)
+            coef += turn
+    kept = coef[..., : levels if levels == dim else levels - FRAME_GUARD]
+    leakage = float(1.0 - np.min(np.sum(kept * kept, axis=(2, 3))))
+    bare = flat @ _padded(vecs[-1].T, (width, -(-dim // 8) * 8))
+    bare = bare.reshape(coef.shape[:3] + (-1,))[..., :dim]
+    finals = (bare[:, :, 0] + 1j * bare[:, :, 1]).transpose(0, 2, 1)
+    return finals, leakage
+
+
+def _durations(tf_list) -> np.ndarray:
+    """The durations of a sweep as an array; none, or one that is not
+    positive and finite, raises ValueError."""
+    tf_arr = np.asarray(list(tf_list), dtype=float)
+    if tf_arr.size == 0:
+        raise ValueError("a sweep needs at least one duration")
     if not np.all(np.isfinite(tf_arr) & (tf_arr > 0)):
         raise ValueError("all durations must be positive and finite")
+    return tf_arr
+
+
+def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
+    """(n_steps, final, frame): final(t_f) is psi0, a vector or a (dim, m)
+    stack, evolved along ``traj`` played over t_f, for t_f in ``tf_arr``
+    (checked by ``_durations``). All durations share the step count (by
+    default the largest rule of ``pairs`` at the longest one) and one
+    midpoint table if it fits. Small models take the tree product and keep
+    only the table's ``StepOverlaps``; larger ones take one frame pass over
+    all durations, and ``frame`` is its (levels, leakage), else a pair of
+    None. The
+    final states of both get the same norm check as ``evolve``."""
     if n_steps is None:
         n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)
@@ -337,21 +443,40 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
         raise ValueError("n_steps must be >= 1")
     dim = traj.spec.dim
     fits = n_steps * dim * dim <= TABLE_ENTRY_BUDGET
-    if fits and dim <= TREE_PRODUCT_MAX_DIM:
-        steps = StepOverlaps(MidpointTable(traj, n_steps))
+    if not fits:
+        def final(t_f):
+            control = _protocol.rescale(traj, t_f)
+            return evolve(control, psi0, n_steps=n_steps, n_save=2).final_state
+
+        return n_steps, final, (None, None)
+
+    table = MidpointTable(traj, n_steps)
+    if dim <= TREE_PRODUCT_MAX_DIM:
+        steps = StepOverlaps(table)
 
         def final(t_f):
             state = _total_propagator(steps, t_f / n_steps) @ psi0
             _check_norm(state, axis=0)
             return state
-    else:
-        table = MidpointTable(traj, n_steps) if fits else None
 
-        def final(t_f):
-            control = _protocol.rescale(traj, t_f)
-            return evolve(control, psi0, n_steps=n_steps, n_save=2, table=table).final_state
+        return n_steps, final, (None, None)
 
-    return n_steps, final
+    levels = min(FRAME_LEVELS, dim)
+    while True:
+        finals, leakage = _frame_pass(table, psi0.reshape(dim, -1), tf_arr, levels)
+        if leakage <= LEAKAGE_LIMIT or levels == dim:
+            break
+        levels = min(2 * levels, dim)
+    if psi0.ndim == 1:
+        finals = finals[:, :, 0]
+    index = {t_f: i for i, t_f in enumerate(tf_arr.tolist())}
+
+    def final(t_f):
+        state = finals[index[t_f]]
+        _check_norm(state, axis=0)
+        return state
+
+    return n_steps, final, (levels, leakage)
 
 
 def _sweep(points, run_point, workers=1, shape=()):
@@ -386,12 +511,13 @@ def fidelity_sweep(traj: _protocol.NormalizedTrajectory, tf_list, start=GROUND,
     shared across points, so the midpoint tables are built once.
     Per-point numerical failures are collected, not fatal.
     """
-    tf_arr = np.asarray(list(tf_list), dtype=float)
+    tf_arr = _durations(tf_list)
     psi0 = _start_vector(traj, start).astype(complex)
-    n_steps, final = _final_states(traj, psi0, tf_arr, n_steps)
+    n_steps, final, (levels, leakage) = _final_states(traj, psi0, tf_arr, n_steps)
     population, failures = _sweep(
         tf_arr, lambda t_f: _population_of(traj, target, final(t_f)), workers)
-    return SweepCurve(tf=tf_arr, population=population, failures=failures, n_steps=n_steps)
+    return SweepCurve(tf=tf_arr, population=population, failures=failures, n_steps=n_steps,
+                      frame_levels=levels, frame_leakage=leakage)
 
 
 def adiabatic_projection(result: EvolutionResult, pairs=((1, 2),)) -> AdiabaticProjection:

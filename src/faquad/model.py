@@ -54,6 +54,8 @@ class BiasParams:
     J: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.U, bool) or isinstance(self.J, bool):
+            raise ValueError("bias models take numbers for U and J, not bool")
         if not (0 < self.U < math.inf and 0 < self.J < math.inf):
             raise ValueError("bias models require finite U > 0 and J > 0")
 

@@ -39,6 +39,9 @@ class ManyBodyFidelityCurve:
     protocol: str
     label: str = "tf"
     failures: list = field(default_factory=list)
+    # Adiabatic levels stepped and their leakage, for a frame pass.
+    frame_levels: int | None = None
+    frame_leakage: float | None = None
 
 
 def _check_odd_n(spec: _model.ModelSpec, N: int):
@@ -78,13 +81,15 @@ def duration_sweep(Ns, traj: _protocol.NormalizedTrajectory, tf_list,
     one curve per filling N in ``Ns``. One stack of the largest N evolves;
     the leading N orbitals of it are the evolved stack of N."""
     spec = traj.spec
+    if len(Ns) == 0:
+        raise ValueError("a duration sweep needs at least one filling N")
     for N in Ns:
         _check_odd_n(spec, N)
-    tf_arr = np.asarray(list(tf_list), dtype=float)
+    tf_arr = _dynamics._durations(tf_list)
     start = stack_at(spec, spec.lambda_start, max(Ns))
     targets = [stack_at(spec, spec.lambda_end, N) for N in Ns]
-    _, final = _dynamics._final_states(traj, start, tf_arr, n_steps,
-                                       pairs=[(N, N + 1) for N in Ns])
+    _, final, (levels, leakage) = _dynamics._final_states(traj, start, tf_arr, n_steps,
+                                                          pairs=[(N, N + 1) for N in Ns])
 
     def fidelities(t_f):
         orbitals = final(t_f)
@@ -92,7 +97,8 @@ def duration_sweep(Ns, traj: _protocol.NormalizedTrajectory, tf_list,
 
     fidelity, failures = _dynamics._sweep(tf_arr, fidelities, workers, shape=(len(Ns),))
     return [ManyBodyFidelityCurve(abscissa=tf_arr, fidelity=fidelity[:, j], N=N,
-                                  protocol=traj.kind, label="tf", failures=list(failures))
+                                  protocol=traj.kind, label="tf", failures=list(failures),
+                                  frame_levels=levels, frame_leakage=leakage)
             for j, N in enumerate(Ns)]
 
 

@@ -52,6 +52,8 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     # The linear ramp and the two FAQUAD designs, 400 steps each.
     assert metrics["dynamics.n_steps"] == 3 * 400
     assert metrics["spectral.track_frames.calls"] == 1
+    # Each sweep steps all its durations in one frame pass, not by evolve.
+    assert metrics["dynamics.evolve.calls"] == 0
     # The ring's secular solver takes every control where no two poles
     # (k - Omega/2pi)^2 tie; numpy's eigh sees only the tie controls
     # Omega = 0 and pi: the 7 single-control stacks (start and N = 3, 9

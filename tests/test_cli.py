@@ -154,6 +154,25 @@ def test_sweep_tf_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["point_failures"] == []
     assert manifest["derived"]["n_steps"] == 2048
+    # The tree product truncates nothing, so there is no frame to report.
+    assert "frame_levels" not in manifest["derived"]
+
+
+@pytest.mark.parametrize("args,tags", [
+    (["sweep-tf", "--model", "ring", "--u0", "0.5", "--K", "20", "--protocol", "linear",
+      "--tf-min", "2", "--tf-max", "10", "--tf-count", "2", "--n-steps", "400"], [""]),
+    (["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2"],
+     ["_linear", "_faquad_N3", "_faquad_N9"]),
+], ids=["sweep-tf", "fig6a"])
+def test_ring_duration_sweeps_report_their_frame(tmp_path, args, tags):
+    # Each sweep's adiabatic levels and leakage, so that a reader can judge
+    # the truncation from the manifest.
+    from faquad import dynamics
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
+    derived = json.loads((tmp_path / "o" / "manifest.json").read_text())["derived"]
+    for tag in tags:
+        assert derived[f"frame_levels{tag}"] == dynamics.FRAME_LEVELS
+        assert 0 < derived[f"frame_leakage{tag}"] <= dynamics.LEAKAGE_LIMIT
 
 
 def test_sweep_eps_outputs(tmp_path):

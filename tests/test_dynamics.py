@@ -245,6 +245,24 @@ def test_sweep_rejects_bad_durations(two_level_faquad, monkeypatch):
             tg.epsilon_sweep(1, ring, bad)
 
 
+def test_sweeps_reject_empty_durations_and_fillings(two_level_faquad, monkeypatch):
+    # Before the step rule runs or a table is built, with or without an
+    # explicit step count.
+    def refused(*args, **kwargs):
+        raise AssertionError("the step rule or a table was reached")
+
+    monkeypatch.setattr(dynamics, "default_n_steps", refused)
+    monkeypatch.setattr(dynamics, "MidpointTable", refused)
+    ring = protocol.linear_ramp(model.ring(u0=0.5, K=2))
+    for n_steps in (None, 400):
+        with pytest.raises(ValueError, match="at least one duration"):
+            dynamics.fidelity_sweep(two_level_faquad, [], n_steps=n_steps)
+        with pytest.raises(ValueError, match="at least one duration"):
+            tg.duration_sweep([3], ring, [], n_steps=n_steps)
+        with pytest.raises(ValueError, match="at least one filling"):
+            tg.duration_sweep([], ring, [1.0], n_steps=n_steps)
+
+
 @pytest.mark.parametrize("n_steps", [0, -3])
 def test_sweeps_reject_a_step_count_below_one(two_level_faquad, n_steps):
     # As evolve and tg.epsilon_sweep do, before any table is built.
@@ -273,7 +291,7 @@ def _ring_epsilon_sweep(traj, points):
 
 @pytest.mark.parametrize("sweep,ring,patched,points", [
     (_two_level_sweep, False, "_total_propagator", [0.5, 1.0, 1.5]),
-    (_ring_duration_sweep, True, "evolve", [2.0, 4.0, 6.0]),
+    (_ring_duration_sweep, True, "_check_norm", [2.0, 4.0, 6.0]),
     (_ring_epsilon_sweep, True, "evolve", [-0.05, 0.0, 0.05]),
 ])
 def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_faquad,
@@ -315,12 +333,85 @@ def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
     evolve = dynamics.evolve
     calls = []
     monkeypatch.setattr(dynamics, "evolve", lambda *a, **k: calls.append(a) or evolve(*a, **k))
-    _, final = dynamics._final_states(traj, psi0, np.array(tf_list), 4000)
+    _, final, frame = dynamics._final_states(traj, psi0, np.array(tf_list), 4000)
+    assert frame == (None, None)
     tree = [final(t_f) for t_f in tf_list]
     assert calls == []
     for t_f, state in zip(tf_list, tree):
         streamed = evolve(protocol.rescale(traj, t_f), psi0, n_steps=4000, n_save=2)
         assert np.max(np.abs(state - streamed.final_state)) <= 1e-12
+
+
+# The untruncated frame pass and bare-basis evolve round differently: at
+# 800 steps their ring fidelities differ by up to 3e-12.
+ROUNDING = 1e-11
+
+
+def _bare_fidelities(traj, Ns, tf_list, n_steps):
+    """(len(tf_list), len(Ns)) fidelities of one stack of max(Ns)
+    orbitals stepped in the bare basis by ``evolve``."""
+    spec = traj.spec
+    start = tg.stack_at(spec, spec.lambda_start, max(Ns))
+    targets = [tg.stack_at(spec, spec.lambda_end, N) for N in Ns]
+    out = np.empty((len(tf_list), len(Ns)))
+    for i, t_f in enumerate(tf_list):
+        final = dynamics.evolve(protocol.rescale(traj, t_f), start, n_steps=n_steps,
+                                n_save=2).final_state
+        out[i] = [tg.tg_fidelity(final[:, : t.shape[1]], t) for t in targets]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["linear", "faquad"])
+def test_ring_duration_sweep_steps_a_truncated_frame(monkeypatch, ring_spec, ring_faquad_n3,
+                                                     kind):
+    # K = 40: every duration is stepped at once in the lowest FRAME_LEVELS
+    # of the 81 adiabatic levels, with no call to evolve, and the fidelities
+    # move from the bare-basis ones by no more than the reported leakage.
+    traj = protocol.linear_ramp(ring_spec) if kind == "linear" else ring_faquad_n3
+    Ns, tf_list = (1, 3, 9), [2.0, 30.0, 90.0]
+    evolve = dynamics.evolve
+    calls = []
+    monkeypatch.setattr(dynamics, "evolve", lambda *a, **k: calls.append(a) or evolve(*a, **k))
+    curves = tg.duration_sweep(Ns, traj, tf_list, n_steps=800)
+    assert calls == []
+    leakage = curves[0].frame_leakage
+    for curve in curves:
+        assert curve.frame_levels == dynamics.FRAME_LEVELS < ring_spec.dim
+        assert curve.frame_leakage == leakage
+    assert 0 < leakage <= dynamics.LEAKAGE_LIMIT
+    fidelity = np.stack([curve.fidelity for curve in curves], axis=1)
+    error = np.max(np.abs(fidelity - _bare_fidelities(traj, Ns, tf_list, 800)))
+    assert error <= leakage + ROUNDING
+    assert error <= dynamics.LEAKAGE_LIMIT
+
+
+def test_frame_pass_gives_a_column_the_same_bits_at_any_stack_width():
+    # A duration sweep scores each filling on the leading orbitals of one
+    # stack, so a column must come out the same whatever the stack width,
+    # truncated or not, for one or many durations.
+    spec = model.ring(u0=0.5, K=20)
+    table = dynamics.MidpointTable(protocol.linear_ramp(spec), 200)
+    stack = tg.stack_at(spec, spec.lambda_start, 9)
+    for levels in (dynamics.FRAME_LEVELS, spec.dim):
+        for tf_arr in (np.array([2.0]), np.array([2.0, 5.0]), np.linspace(1.0, 9.0, 7)):
+            wide, _ = dynamics._frame_pass(table, stack, tf_arr, levels)
+            for m in (1, 3, 5):
+                narrow, _ = dynamics._frame_pass(table, stack[:, :m], tf_arr, levels)
+                assert np.array_equal(narrow, wide[:, :, :m]), (levels, len(tf_arr), m)
+
+
+@pytest.mark.parametrize("K,levels", [(40, 64), (20, 41)])
+def test_frame_levels_double_while_the_stack_leaks(K, levels):
+    # N = 31 orbitals fill the frame of FRAME_LEVELS = 32 up to its guard,
+    # so the level count doubles: to 64 of 81 at K = 40, and at K = 20 to
+    # all 41 levels, where the pass is exact.
+    traj = protocol.linear_ramp(model.ring(u0=0.5, K=K))
+    tf_list = [2.0, 10.0]
+    (curve,) = tg.duration_sweep([31], traj, tf_list, n_steps=800)
+    assert curve.frame_levels == levels
+    assert curve.frame_leakage <= dynamics.LEAKAGE_LIMIT
+    error = np.max(np.abs(curve.fidelity - _bare_fidelities(traj, [31], tf_list, 800)[:, 0]))
+    assert error <= curve.frame_leakage + ROUNDING
 
 
 def test_midpoint_table_reuse(two_level_spec, two_level_faquad):

@@ -108,6 +108,10 @@ def test_constructor_validation():
                      (math.nan, 1.0), (1.0, math.nan)):
             with pytest.raises(ValueError, match="finite U > 0 and J > 0"):
                 build(U=U, J=J, delta_start=1.0, delta_end=0.0)
+        # As a bool K is for the ring: True would pass as U = 1.
+        for U, J in ((True, 1.0), (1.0, True), (False, 1.0)):
+            with pytest.raises(ValueError, match="not bool"):
+                build(U=U, J=J, delta_start=1.0, delta_end=0.0)
     with pytest.raises(ValueError):
         model.ring(u0=-0.5)
     with pytest.raises(ValueError):
