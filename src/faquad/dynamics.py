@@ -11,8 +11,9 @@ normalized clock s = (k + 1/2)/n_steps, so the eigendecompositions can
 be tabulated once per (trajectory, n_steps) and reused across all
 durations of a sweep. They come from ``spectral.eigh``: a ring table is
 solved by the ring's secular equation, O(dim^2) per matrix with the GIL
-released, straight into the table's arrays; a schedule that is played
-once (a miscalibrated drive) streams them in chunks instead.
+released, straight into the table's arrays, or 2 MB of matrices at a
+time for a table that keeps only the lowest levels; a schedule that is
+played once (a miscalibrated drive) streams them in chunks instead.
 
 Every function here reads the model from the trajectory, timed control
 or evolution result it is given (``traj.spec``), so a model and a schedule
@@ -38,14 +39,17 @@ psi = V_k[:, :M] c, a step is
     c <- P_k O_k c,   O_k = V_k[:, :M]^T V_{k-1}[:, :M],
 
 one real (M, M) product shared by all durations, then the phases P_k of
-each duration; the final state is V_{n-1}[:, :M] c. The overlaps are
-formed one chunk of steps at a time, so only the table is kept. The
+each duration; the final state is V_{n-1}[:, :M] c. The table of such a
+sweep holds every energy but only the M eigenvectors stepped, an
+(n, dim, M) array (83 MB instead of 210 MB for the K = 40 ring at 4000
+steps), and the overlaps are formed one chunk of steps at a time. The
 leakage, 1 minus the smallest squared column norm of c in its lowest
 M - FRAME_GUARD levels, is measured at the end: M starts at FRAME_LEVELS
 and doubles while the leakage exceeds LEAKAGE_LIMIT, up to M = dim, the
-exact untruncated case. Truncation moves ring fidelities at the 1e-10
-level against stepping in the bare basis (``evolve``), which a sweep
-still does when its table does not fit in memory.
+exact untruncated case; each doubling rebuilds the table at the new M.
+Truncation moves ring fidelities at the 1e-10 level against stepping in
+the bare basis (``evolve``), which a sweep still does when its table of M
+levels does not fit in TABLE_ENTRY_BUDGET.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ from .errors import FaquadError, StepSizeTooCoarse
 
 NORM_DRIFT_LIMIT = 1e-9
 MIN_STEPS = 2000
-# Largest eigenvector table kept in memory, in float64 entries.
+# Largest eigenvector table kept in memory, in float64 entries: n_steps x
+# dim x the levels it holds (all dim for the tree product, the frame's M
+# for a frame pass).
 TABLE_ENTRY_BUDGET = 60_000_000
 # Dimension at or below which sweeps collapse step propagators by tree
 # product instead of streaming matrix-vector products. The elementwise tree
@@ -83,6 +89,9 @@ FRAME_LEVELS = 32
 FRAME_GUARD = 4
 LEAKAGE_LIMIT = 1e-9
 _CHUNK = 512
+# Float64 eigenvector entries solved at once while a truncated midpoint
+# table fills (2 MB): 39 matrices at K = 40.
+_TABLE_CHUNK_ENTRIES = 2 ** 18
 # Float64 entries of the per-chunk scratch of a frame pass (2 MB).
 _FRAME_CHUNK_ENTRIES = 2 ** 18
 # Factor pairs per vector operation of the tree product; bounds its scratch.
@@ -178,13 +187,42 @@ class MidpointTable:
     midpoints sit at s = (k + 1/2)/n_steps regardless of t_f. ``trajectory``
     is the one it was built from; ``evolve`` takes the table only with a
     control that plays that same trajectory.
+
+    ``eigvals`` holds every energy, (n_steps, dim); ``eigvecs`` the
+    eigenvectors of the lowest ``levels`` of them, (n_steps, dim, levels),
+    all dim by default. Only ``_frame_pass`` reads a truncated table. A
+    full table is solved in one call; a truncated one in chunks of at most
+    _TABLE_CHUNK_ENTRIES eigenvector entries, so that it never holds the
+    full set at once.
     """
 
-    def __init__(self, traj, n_steps):
+    def __init__(self, traj, n_steps, levels=None):
+        dim = traj.spec.dim
+        levels = dim if levels is None else int(levels)
+        if not 1 <= levels <= dim:
+            raise ValueError(f"levels must lie in 1..{dim}")
         self.trajectory = traj
         self.n_steps = int(n_steps)
         self.lams = _midpoint_controls(traj, self.n_steps)
-        self.eigvals, self.eigvecs = _spectral.eigh(traj.spec, self.lams)
+        if levels == dim:
+            # Chunks would only add a copy of the table.
+            self.eigvals, self.eigvecs = _spectral.eigh(traj.spec, self.lams)
+            return
+        self.eigvals = np.empty((self.n_steps, dim))
+        self.eigvecs = np.empty((self.n_steps, dim, levels))
+        span = max(1, _TABLE_CHUNK_ENTRIES // (dim * dim))
+        for lo in range(0, self.n_steps, span):
+            energies, vectors = _spectral.eigh(traj.spec, self.lams[lo : lo + span])
+            self.eigvals[lo : lo + span] = energies
+            self.eigvecs[lo : lo + span] = vectors[:, :, :levels]
+
+
+def _check_full(table: MidpointTable):
+    """A table that holds every eigenvector; a truncated one raises
+    ValueError."""
+    if table.eigvecs.shape[2] != table.trajectory.spec.dim:
+        raise ValueError(f"table holds {table.eigvecs.shape[2]} of "
+                         f"{table.trajectory.spec.dim} eigenvectors; this needs all of them")
 
 
 class StepOverlaps:
@@ -198,6 +236,7 @@ class StepOverlaps:
     """
 
     def __init__(self, table: MidpointTable):
+        _check_full(table)
         v = table.eigvecs
         n, d = table.eigvals.shape
         self.energies = np.ascontiguousarray(table.eigvals.T)
@@ -291,6 +330,8 @@ def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
         raise ValueError("table was built for a different trajectory")
     if table is not None and table.n_steps != n_steps:
         raise ValueError("table was built for a different n_steps")
+    if table is not None:
+        _check_full(table)
 
     psi0 = np.asarray(psi0)
     single = psi0.ndim == 1
@@ -363,9 +404,12 @@ def _frame_pass(table: MidpointTable, stack: np.ndarray, tf_arr: np.ndarray, lev
     ``tf_arr`` at once. finals[i] is the final (dim, m) stack at
     tf_arr[i]; leakage is 1 minus the smallest squared column norm left
     in the lowest ``levels`` - FRAME_GUARD of them (all of them when
-    ``levels`` is dim)."""
+    ``levels`` is dim). The table must hold at least ``levels``
+    eigenvectors; one built with exactly ``levels`` is read whole."""
     n = table.n_steps
     dim, m = stack.shape
+    if levels > table.eigvecs.shape[2]:
+        raise ValueError(f"table holds {table.eigvecs.shape[2]} levels, fewer than {levels}")
     vecs = table.eigvecs[:, :, :levels]
     dts = tf_arr / n
     # The coefficients are real rows (duration, column, re/im), so a step
@@ -430,11 +474,12 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     stack, evolved along ``traj`` played over t_f, for t_f in ``tf_arr``
     (checked by ``_durations``). All durations share the step count (by
     default the largest rule of ``pairs`` at the longest one) and one
-    midpoint table if it fits. Small models take the tree product and keep
-    only the table's ``StepOverlaps``; larger ones take one frame pass over
-    all durations, and ``frame`` is its (levels, leakage), else a pair of
-    None. The
-    final states of both get the same norm check as ``evolve``."""
+    midpoint table if its eigenvectors fit in TABLE_ENTRY_BUDGET. Small
+    models take the tree product over a full table and keep only its
+    ``StepOverlaps``; larger ones take one frame pass over all durations
+    with a table of the levels stepped, rebuilt when they double, and
+    ``frame`` is its (levels, leakage), else a pair of None. The final
+    states of both get the same norm check as ``evolve``."""
     if n_steps is None:
         n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)
@@ -442,17 +487,18 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dim = traj.spec.dim
-    fits = n_steps * dim * dim <= TABLE_ENTRY_BUDGET
-    if not fits:
-        def final(t_f):
-            control = _protocol.rescale(traj, t_f)
-            return evolve(control, psi0, n_steps=n_steps, n_save=2).final_state
 
-        return n_steps, final, (None, None)
+    def evolved(t_f):
+        control = _protocol.rescale(traj, t_f)
+        return evolve(control, psi0, n_steps=n_steps, n_save=2).final_state
 
-    table = MidpointTable(traj, n_steps)
+    def fits(levels):
+        return n_steps * dim * levels <= TABLE_ENTRY_BUDGET
+
     if dim <= TREE_PRODUCT_MAX_DIM:
-        steps = StepOverlaps(table)
+        if not fits(dim):
+            return n_steps, evolved, (None, None)
+        steps = StepOverlaps(MidpointTable(traj, n_steps))
 
         def final(t_f):
             state = _total_propagator(steps, t_f / n_steps) @ psi0
@@ -463,7 +509,11 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
 
     levels = min(FRAME_LEVELS, dim)
     while True:
-        finals, leakage = _frame_pass(table, psi0.reshape(dim, -1), tf_arr, levels)
+        if not fits(levels):
+            return n_steps, evolved, (None, None)
+        # The table is built inline so that it is freed before a rebuild.
+        finals, leakage = _frame_pass(MidpointTable(traj, n_steps, levels),
+                                      psi0.reshape(dim, -1), tf_arr, levels)
         if leakage <= LEAKAGE_LIMIT or levels == dim:
             break
         levels = min(2 * levels, dim)

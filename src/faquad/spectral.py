@@ -218,11 +218,27 @@ def frames(spec: _model.ModelSpec, lams):
     control of the 1-d array ``lams``, from ``eigh``, in the package's sign
     gauge: the columns at the first control follow ``gauge_fix_columns``,
     and each later column has a nonnegative overlap with the one before
-    it."""
+    it (``sign_fix`` against the column before, applied at every control
+    at once)."""
     energies, vectors = eigh(spec, lams)
     vectors[0] = gauge_fix_columns(vectors[0])
-    for k in range(1, len(lams)):
-        vectors[k] = sign_fix(vectors[k], vectors[k - 1])
+    # A column's sign is the product of the signs of the raw overlaps since
+    # its last zero overlap, where sign_fix leaves the column as solved and
+    # the product starts again; flipping a column flips its next overlap
+    # exactly, so these signs are the ones sign_fix finds step by step.
+    # The scratch is kept small (int8 signs, int32 indices), since a design
+    # track's frames are the largest array of a ring run.
+    overlaps = np.einsum("kij,kij->kj", vectors[:-1], vectors[1:])
+    signs = np.ones(energies.shape, dtype=np.int8)
+    signs[1:][overlaps < 0.0] = -1
+    zero = ~((overlaps < 0.0) | (overlaps > 0.0))
+    del overlaps
+    restart = np.zeros(energies.shape, dtype=np.int32)
+    restart[1:][zero] = np.nonzero(zero)[0] + 1
+    np.maximum.accumulate(restart, axis=0, out=restart)
+    np.cumprod(signs, axis=0, out=signs)
+    signs *= np.take_along_axis(signs, restart, axis=0)
+    vectors *= signs[:, None, :]
     return energies, vectors
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,98 @@ def test_frame_levels_double_while_the_stack_leaks(K, levels):
     assert curve.frame_leakage <= dynamics.LEAKAGE_LIMIT
     error = np.max(np.abs(curve.fidelity - _bare_fidelities(traj, [31], tf_list, 800)[:, 0]))
     assert error <= curve.frame_leakage + ROUNDING
+
+
+@pytest.mark.parametrize("K,N,levels", [(40, 9, 32), (40, 31, 64), (20, 31, 41)])
+def test_frame_pass_over_a_truncated_table_matches_the_full_table(K, N, levels):
+    # A table of only the levels stepped gives the pass the same bits as
+    # the leading columns of a full table: the fig6a frame and both
+    # doubled frames of test_frame_levels_double_while_the_stack_leaks.
+    spec = model.ring(u0=0.5, K=K)
+    traj = protocol.linear_ramp(spec)
+    stack = tg.stack_at(spec, spec.lambda_start, N)
+    tf_arr = np.array([2.0, 10.0])
+    truncated = dynamics.MidpointTable(traj, 800, levels)
+    assert truncated.eigvecs.shape == (800, spec.dim, levels)
+    assert truncated.eigvecs.flags.c_contiguous
+    full_finals, full_leakage = dynamics._frame_pass(dynamics.MidpointTable(traj, 800), stack,
+                                                     tf_arr, levels)
+    finals, leakage = dynamics._frame_pass(truncated, stack, tf_arr, levels)
+    assert np.array_equal(finals, full_finals)
+    assert leakage == full_leakage
+    with pytest.raises(ValueError, match="levels"):
+        dynamics._frame_pass(dynamics.MidpointTable(traj, 10, levels - 1), stack, tf_arr, levels)
+
+
+def test_ring_duration_sweep_holds_only_the_frame_levels():
+    # The fig6a shape: a K = 40 ring at 4000 steps steps in 32 levels, so
+    # its table is (4000, 81, 32), 83 MB, where all 81 levels took 210 MB.
+    shapes = []
+    init = dynamics.MidpointTable.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shapes.append(self.eigvecs.shape)
+
+    traj = protocol.linear_ramp(model.ring(u0=0.5, K=40))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics.MidpointTable, "__init__", recording_init)
+            curves = tg.duration_sweep([3, 9], traj, [30.0, 60.0, 90.0], n_steps=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert curves[0].frame_levels == dynamics.FRAME_LEVELS
+    assert shapes == [(4000, 81, dynamics.FRAME_LEVELS)]
+    assert peak <= 110e6
+
+
+@pytest.mark.parametrize("N,entries_per_step,passes,evolves,levels", [
+    (3, 81 * 48, 1, 0, dynamics.FRAME_LEVELS),
+    (3, 81 * 16, 0, 2, None),
+    (31, 81 * 48, 1, 2, None),
+], ids=["frame", "evolve", "doubled-frame-too-large"])
+def test_table_budget_counts_the_frame_levels(monkeypatch, N, entries_per_step, passes,
+                                              evolves, levels):
+    # TABLE_ENTRY_BUDGET bounds the eigenvectors held, n_steps x dim x M on
+    # the ring: a budget between n dim 32 and n dim^2 takes the frame pass,
+    # one below n dim 32 steps each duration in the bare basis, and so does
+    # a stack that leaks out of 32 levels when 64 do not fit.
+    traj = protocol.linear_ramp(model.ring(u0=0.5, K=40))
+    n_steps, tf_list = 800, [2.0, 10.0]
+    monkeypatch.setattr(dynamics, "TABLE_ENTRY_BUDGET", n_steps * entries_per_step)
+    calls = {"_frame_pass": 0, "evolve": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counted(*a, _name=name, _original=original, **k):
+            calls[_name] += 1
+            return _original(*a, **k)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    (curve,) = tg.duration_sweep([N], traj, tf_list, n_steps=n_steps)
+    assert calls == {"_frame_pass": passes, "evolve": evolves}
+    assert curve.frame_levels == levels
+    assert not np.any(np.isnan(curve.fidelity))
+
+
+def test_evolve_rejects_a_truncated_table():
+    spec = model.ring(u0=0.5, K=3)
+    traj = protocol.linear_ramp(spec)
+    table = dynamics.MidpointTable(traj, 50, levels=4)
+    with pytest.raises(ValueError, match="4 of 7 eigenvectors"):
+        dynamics.evolve(protocol.rescale(traj, 2.0), dynamics.bare_state(spec, 1), table=table)
+
+
+def test_step_overlaps_reject_a_truncated_table():
+    table = dynamics.MidpointTable(protocol.linear_ramp(model.ring(u0=0.5, K=3)), 50, levels=4)
+    with pytest.raises(ValueError, match="4 of 7 eigenvectors"):
+        dynamics.StepOverlaps(table)
 
 
 def test_midpoint_table_reuse(two_level_spec, two_level_faquad):

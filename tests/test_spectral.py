@@ -143,6 +143,47 @@ def test_sign_fix_handles_zero_overlap():
     assert np.array_equal(np.abs(fixed), np.abs(rotated))
 
 
+def _frames_by_loop(spec, lams):
+    """``spectral.frames`` as it was first written: a loop of ``sign_fix``
+    against the column before."""
+    energies, vectors = spectral.eigh(spec, lams)
+    vectors[0] = spectral.gauge_fix_columns(vectors[0])
+    for k in range(1, len(lams)):
+        vectors[k] = spectral.sign_fix(vectors[k], vectors[k - 1])
+    return energies, vectors
+
+
+@pytest.mark.parametrize("case", ["ring", "cotunneling", "zero-overlap"])
+def test_frames_gauge_matches_the_sign_fix_loop(monkeypatch, ring_spec, cotunneling_spec, case):
+    # The vectorised gauge against the loop, on 2001-point design grids and
+    # on a u0 = 0 ring whose levels cross at Omega = pi: there the columns
+    # swap, their overlaps are exactly zero and the sign product restarts.
+    # The zero-overlap grid gets random column signs from a stand-in eigh,
+    # the same on every call, so that flips accumulate between the zeros.
+    if case == "ring":
+        spec, lams = ring_spec, np.linspace(0.0, math.pi, 2001)
+    elif case == "cotunneling":
+        spec, lams = cotunneling_spec, np.linspace(66.7, -66.7, 2001)
+    else:
+        spec, lams = model.ring(u0=0.0, K=3), np.linspace(0.1, 2.0 * math.pi - 0.1, 41)
+        solve = spectral.eigh
+
+        def scrambled(spec, lams):
+            energies, vectors = solve(spec, lams)
+            flips = np.random.default_rng(7).choice([-1.0, 1.0], size=(len(lams), spec.dim))
+            return energies, vectors * flips[:, None, :]
+
+        monkeypatch.setattr(spectral, "eigh", scrambled)
+    energies, vectors = _frames_by_loop(spec, lams)
+    if case == "zero-overlap":
+        raw = spectral.eigh(spec, lams)[1]
+        assert np.any(np.einsum("kij,kij->kj", raw[:-1], raw[1:]) < 0.0)
+        assert np.any(np.einsum("kij,kij->kj", vectors[:-1], vectors[1:]) == 0.0)
+    got_energies, got_vectors = spectral.frames(spec, lams)
+    assert np.array_equal(got_energies, energies)
+    assert np.array_equal(got_vectors, vectors)
+
+
 # The ring's secular solver (``spectral.eigh``) against numpy's dense eigh.
 # Errors measured over K in {1, 2, 20, 40, 60}, u0 in {0, 1e-12, 0.5, 4, 40}
 # and 400 random plus 13 special controls each (one BLAS thread), in units
