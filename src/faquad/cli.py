@@ -285,12 +285,12 @@ def _n_steps(cfg):
     return cfg.get("integrator", {}).get("n_steps")
 
 
-def _derive_frame(run, curve, suffix=""):
-    """The adiabatic levels a sweep stepped and their leakage, if it took
-    a frame pass."""
-    if curve.frame_levels is not None:
-        run.derive(f"frame_levels{suffix}", curve.frame_levels)
-        run.derive(f"frame_leakage{suffix}", curve.frame_leakage)
+def _derive_frame(run, result, suffix=""):
+    """The adiabatic levels a sweep or evolution stepped and their leakage,
+    if it took a frame pass."""
+    if result.frame_levels is not None:
+        run.derive(f"frame_levels{suffix}", result.frame_levels)
+        run.derive(f"frame_leakage{suffix}", result.frame_leakage)
 
 
 def _cmd_design(cfg, spec, run):
@@ -342,6 +342,7 @@ def _cmd_evolve(cfg, spec, run):
     _write_csv(run.path("projection.csv"), "t,n,re_g,im_g", rows)
     run.derive("n_steps", result.n_steps)
     run.derive("norm_drift", result.norm_drift)
+    _derive_frame(run, result)
     run.derive("final_populations",
                [float(np.abs(result.final_state[i]) ** 2) for i in range(spec.dim)])
     if traj.c_tilde is not None:
@@ -387,6 +388,7 @@ def _cmd_sweep_eps(cfg, spec, run):
         curve = _tg.epsilon_sweep(N, traj, t_f, epsilons, n_steps=_n_steps(cfg),
                                   workers=run.workers)
         rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
+        _derive_frame(run, curve, f"_N{N}")
         run.failures({"N": N, "epsilon": e, "error": m} for e, m in curve.failures)
         if traj.c_tilde is not None:
             run.derive(f"c_tilde_N{N}", traj.c_tilde)

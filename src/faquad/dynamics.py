@@ -7,49 +7,46 @@ its exact exponential through an eigendecomposition,
 
 which is unitary by construction (second order in the step for a
 time-dependent generator). Midpoint control values depend only on the
-normalized clock s = (k + 1/2)/n_steps, so the eigendecompositions can
-be tabulated once per (trajectory, n_steps) and reused across all
-durations of a sweep. They come from ``spectral.eigh``: a ring table is
-solved by the ring's secular equation, O(dim^2) per matrix with the GIL
-released, straight into the table's arrays, or 2 MB of matrices at a
-time for a table that keeps only the lowest levels; a schedule that is
-played once (a miscalibrated drive) streams them in chunks instead.
+normalized clock s = (k + 1/2)/n_steps, so one set of eigendecompositions
+serves every duration of a sweep. They come from ``spectral.eigh``, which
+solves the ring by its secular equation, O(dim^2) per matrix.
 
 Every function here reads the model from the trajectory, timed control
 or evolution result it is given (``traj.spec``), so a model and a schedule
 made for another model cannot be combined.
 
-Small systems collapse the whole product of step propagators with a
-pairwise tree reduction instead of a Python loop over steps. The product
-is regrouped as
+A state is stepped along one of two paths. Small systems (dim <=
+TREE_PRODUCT_MAX_DIM) collapse the whole product of step propagators of
+a sweep with a pairwise tree reduction instead of a Python loop over
+steps. The product is regrouped as
 
     V_{n-1} P_{n-1} O_{n-1} ... O_1 P_0 V_0^T,   O_k = V_k^T V_{k-1},
 
 so only the diagonal phases P_k = exp(-i E_k dt) depend on the duration:
-the real overlaps O_k are formed once per table (``StepOverlaps``), and a
-duration costs the phases, one scaling of the overlap rows and the tree
-product. The factors are stored structure-of-arrays, as one (d, d, n)
-array with the step index last, so each level of the tree is a few
-elementwise multiply-adds on the component vectors of the factors.
+the real overlaps O_k are formed once from a full ``MidpointTable``
+(``StepOverlaps``), and a duration costs the phases, one scaling of the
+overlap rows and the tree product. The factors are stored
+structure-of-arrays, as one (d, d, n) array with the step index last, so
+each level of the tree is a few elementwise multiply-adds on the
+component vectors of the factors.
 
-Larger models (the ring) step every duration of a sweep in one pass, in
-the frame of the lowest M adiabatic levels of the table. With
+Everything else, ``evolve`` included, is one frame pass: the state is
+stepped in the frame of the lowest M adiabatic levels. With
 psi = V_k[:, :M] c, a step is
 
     c <- P_k O_k c,   O_k = V_k[:, :M]^T V_{k-1}[:, :M],
 
-one real (M, M) product shared by all durations, then the phases P_k of
-each duration; the final state is V_{n-1}[:, :M] c. The table of such a
-sweep holds every energy but only the M eigenvectors stepped, an
-(n, dim, M) array (83 MB instead of 210 MB for the K = 40 ring at 4000
-steps), and the overlaps are formed one chunk of steps at a time. The
-leakage, 1 minus the smallest squared column norm of c in its lowest
-M - FRAME_GUARD levels, is measured at the end: M starts at FRAME_LEVELS
-and doubles while the leakage exceeds LEAKAGE_LIMIT, up to M = dim, the
-exact untruncated case; each doubling rebuilds the table at the new M.
-Truncation moves ring fidelities at the 1e-10 level against stepping in
-the bare basis (``evolve``), which a sweep still does when its table of M
-levels does not fit in TABLE_ENTRY_BUDGET.
+one real (M, M) product shared by all durations of a sweep, then the
+phases P_k of each duration; a state is V_k[:, :M] c at the steps asked
+for and at the last. The eigenvectors are solved one chunk of steps at a
+time and only their lowest M columns are kept, so no eigenvector table is
+held. The leakage, 1 minus the smallest squared column norm of c in its
+lowest M - FRAME_GUARD levels, is measured at the end: M starts at
+FRAME_LEVELS and doubles while the leakage exceeds LEAKAGE_LIMIT, up to
+M = dim, the exact untruncated case. Truncation moves ring fidelities at
+the 1e-10 level against stepping in the bare basis. A small-model sweep
+whose full table does not fit in TABLE_ENTRY_BUDGET takes the frame pass
+at M = dim.
 """
 
 from __future__ import annotations
@@ -68,16 +65,16 @@ from .errors import FaquadError, StepSizeTooCoarse
 
 NORM_DRIFT_LIMIT = 1e-9
 MIN_STEPS = 2000
-# Largest eigenvector table kept in memory, in float64 entries: n_steps x
-# dim x the levels it holds (all dim for the tree product, the frame's M
-# for a frame pass).
+# Largest midpoint table of the tree product kept in memory, in float64
+# eigenvector entries (n_steps x dim^2); a sweep whose table does not fit
+# takes the frame pass at M = dim instead.
 TABLE_ENTRY_BUDGET = 60_000_000
 # Dimension at or below which sweeps collapse step propagators by tree
-# product instead of streaming matrix-vector products. The elementwise tree
-# does d^3 vector multiply-adds per level, so its lead shrinks as d grows:
-# with one BLAS thread at 20000 steps per duration it took a quarter or less
-# of the streaming time at d = 5 and at most about half at d = 7 (ring
-# models with K = 2 and 3).
+# product instead of stepping the state. The elementwise tree does d^3
+# vector multiply-adds per level, so its lead shrinks as d grows: with one
+# BLAS thread at 20000 steps per duration it took a quarter or less of the
+# time of stepping in the bare basis at d = 5 and at most about half at
+# d = 7 (ring models with K = 2 and 3).
 TREE_PRODUCT_MAX_DIM = 8
 # Adiabatic levels a large-model sweep steps first, and the largest leakage
 # out of them it accepts; past the limit the level count doubles. The
@@ -89,9 +86,6 @@ FRAME_LEVELS = 32
 FRAME_GUARD = 4
 LEAKAGE_LIMIT = 1e-9
 _CHUNK = 512
-# Float64 eigenvector entries solved at once while a truncated midpoint
-# table fills (2 MB): 39 matrices at K = 40.
-_TABLE_CHUNK_ENTRIES = 2 ** 18
 # Float64 entries of the per-chunk scratch of a frame pass (2 MB).
 _FRAME_CHUNK_ENTRIES = 2 ** 18
 # Factor pairs per vector operation of the tree product; bounds its scratch.
@@ -113,6 +107,9 @@ class EvolutionResult:
     norm_drift: float
     control: _protocol.TimedControl
     n_steps: int
+    # Adiabatic levels stepped and their leakage (``_frame_states``).
+    frame_levels: int
+    frame_leakage: float
 
     @property
     def final_state(self) -> np.ndarray:
@@ -181,48 +178,19 @@ def _midpoint_controls(traj, n_steps):
 
 class MidpointTable:
     """Eigendecompositions of H at the step-midpoint control values, from
-    ``spectral.eigh``.
+    one ``spectral.eigh`` call: ``eigvals`` (n_steps, dim) and ``eigvecs``
+    (n_steps, dim, dim).
 
     Valid for every duration at a fixed (trajectory, n_steps), because
-    midpoints sit at s = (k + 1/2)/n_steps regardless of t_f. ``trajectory``
-    is the one it was built from; ``evolve`` takes the table only with a
-    control that plays that same trajectory.
-
-    ``eigvals`` holds every energy, (n_steps, dim); ``eigvecs`` the
-    eigenvectors of the lowest ``levels`` of them, (n_steps, dim, levels),
-    all dim by default. Only ``_frame_pass`` reads a truncated table. A
-    full table is solved in one call; a truncated one in chunks of at most
-    _TABLE_CHUNK_ENTRIES eigenvector entries, so that it never holds the
-    full set at once.
+    midpoints sit at s = (k + 1/2)/n_steps regardless of t_f. Only the tree
+    product of small models reads it (``StepOverlaps``).
     """
 
-    def __init__(self, traj, n_steps, levels=None):
-        dim = traj.spec.dim
-        levels = dim if levels is None else int(levels)
-        if not 1 <= levels <= dim:
-            raise ValueError(f"levels must lie in 1..{dim}")
+    def __init__(self, traj, n_steps):
         self.trajectory = traj
         self.n_steps = int(n_steps)
         self.lams = _midpoint_controls(traj, self.n_steps)
-        if levels == dim:
-            # Chunks would only add a copy of the table.
-            self.eigvals, self.eigvecs = _spectral.eigh(traj.spec, self.lams)
-            return
-        self.eigvals = np.empty((self.n_steps, dim))
-        self.eigvecs = np.empty((self.n_steps, dim, levels))
-        span = max(1, _TABLE_CHUNK_ENTRIES // (dim * dim))
-        for lo in range(0, self.n_steps, span):
-            energies, vectors = _spectral.eigh(traj.spec, self.lams[lo : lo + span])
-            self.eigvals[lo : lo + span] = energies
-            self.eigvecs[lo : lo + span] = vectors[:, :, :levels]
-
-
-def _check_full(table: MidpointTable):
-    """A table that holds every eigenvector; a truncated one raises
-    ValueError."""
-    if table.eigvecs.shape[2] != table.trajectory.spec.dim:
-        raise ValueError(f"table holds {table.eigvecs.shape[2]} of "
-                         f"{table.trajectory.spec.dim} eigenvectors; this needs all of them")
+        self.eigvals, self.eigvecs = _spectral.eigh(traj.spec, self.lams)
 
 
 class StepOverlaps:
@@ -236,7 +204,6 @@ class StepOverlaps:
     """
 
     def __init__(self, table: MidpointTable):
-        _check_full(table)
         v = table.eigvecs
         n, d = table.eigvals.shape
         self.energies = np.ascontiguousarray(table.eigvals.T)
@@ -301,81 +268,53 @@ def _total_propagator(steps: StepOverlaps, dt: float) -> np.ndarray:
 
 def _check_norm(states: np.ndarray, axis: int) -> float:
     """Largest deviation from 1 of the norms along ``axis``; past
-    NORM_DRIFT_LIMIT it raises StepSizeTooCoarse."""
+    NORM_DRIFT_LIMIT, or NaN, it raises StepSizeTooCoarse."""
     drift = float(np.max(np.abs(np.linalg.norm(states, axis=axis) - 1.0)))
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:
         raise StepSizeTooCoarse(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.0e}")
     return drift
 
 
 def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
-           n_save: int = 401, table: MidpointTable | None = None) -> EvolutionResult:
+           n_save: int = 401) -> EvolutionResult:
     """Propagate psi0 (a vector, or a (dim, m) stack of column states)
-    from t = 0 to t = control.t_f under the model of its trajectory.
+    from t = 0 to t = control.t_f under the model of its trajectory, by
+    one frame pass (``_frame_states``) that keeps n_save states evenly
+    spaced in steps, psi0 and the final state included.
 
     Norm drift beyond 1e-9 raises StepSizeTooCoarse; the stepping is
-    exactly unitary, so drift signals numerical breakdown rather than
-    ordinary discretization error.
+    exactly unitary in its frame, so drift signals numerical breakdown
+    rather than ordinary discretization error.
     """
     traj = control.trajectory
     spec = traj.spec
     if n_steps is None:
-        n_steps = table.n_steps if table is not None else default_n_steps(traj, control.t_f)
+        n_steps = default_n_steps(traj, control.t_f)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_save < 2:
         raise ValueError("n_save must be >= 2 to keep both endpoints")
-    if table is not None and table.trajectory is not traj:
-        raise ValueError("table was built for a different trajectory")
-    if table is not None and table.n_steps != n_steps:
-        raise ValueError("table was built for a different n_steps")
-    if table is not None:
-        _check_full(table)
 
     psi0 = np.asarray(psi0)
     single = psi0.ndim == 1
-    psi = np.array(psi0[:, None] if single else psi0, dtype=complex, order="C")
+    psi = np.asarray(psi0[:, None] if single else psi0, dtype=complex)
     if psi.shape[0] != spec.dim:
         raise ValueError(f"state dimension {psi.shape[0]} does not match model dim {spec.dim}")
     norms = np.linalg.norm(psi, axis=0)
-    if np.max(np.abs(norms - 1.0)) > 1e-8:
+    if not np.max(np.abs(norms - 1.0)) <= 1e-8:
         raise ValueError("initial state columns must be normalized")
 
-    dt = control.t_f / n_steps
     save_idx = np.unique(np.round(np.linspace(0, n_steps, min(n_save, n_steps + 1))).astype(int))
-    saved = np.empty((len(save_idx),) + psi.shape, dtype=complex)
-    saved[0] = psi
-    pos = 1
-
-    if table is not None:
-        chunks = ((lo, table.eigvals[lo : lo + _CHUNK], table.eigvecs[lo : lo + _CHUNK])
-                  for lo in range(0, n_steps, _CHUNK))
-    else:
-        lams = _midpoint_controls(traj, n_steps)
-        chunks = ((lo, *_spectral.eigh(spec, lams[lo : lo + _CHUNK]))
-                  for lo in range(0, n_steps, _CHUNK))
-    # psi and work are C-contiguous (dim, m) complex arrays, so their
-    # float64 views are (dim, 2m) with each real part beside its imaginary
-    # part, and a step is two real matrix products with the eigenvectors.
-    work = np.empty_like(psi)
-    psi_re, work_re = psi.view(np.float64), work.view(np.float64)
-    for lo, w, v in chunks:
-        phases = np.exp(-1j * w * dt)[:, :, None]
-        for i in range(len(w)):
-            np.matmul(v[i].T, psi_re, out=work_re)
-            work *= phases[i]
-            np.matmul(v[i], work_re, out=psi_re)
-            if lo + i + 1 == save_idx[pos]:
-                saved[pos] = psi
-                pos += 1
-
+    stepped, levels, leakage = _frame_states(traj, n_steps, psi, np.array([control.t_f]),
+                                             save_idx[1:])
+    saved = np.concatenate([psi[None], stepped[:, 0]])
     drift = _check_norm(saved, axis=1)
-    times = save_idx * dt
+    times = save_idx * (control.t_f / n_steps)
     times[-1] = control.t_f
     states = saved[:, :, 0] if single else saved
-    return EvolutionResult(times=times, states=states, norm_drift=drift,
-                           control=control, n_steps=n_steps)
+    return EvolutionResult(times=times, states=states, norm_drift=drift, control=control,
+                           n_steps=n_steps, frame_levels=levels, frame_leakage=leakage)
 
 
 def _start_vector(traj, start):
@@ -398,20 +337,23 @@ def _padded(a: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _frame_pass(table: MidpointTable, stack: np.ndarray, tf_arr: np.ndarray, levels: int):
-    """(finals, leakage): the (dim, m) ``stack`` stepped along ``table``
-    in its lowest ``levels`` adiabatic levels, for every duration of
-    ``tf_arr`` at once. finals[i] is the final (dim, m) stack at
-    tf_arr[i]; leakage is 1 minus the smallest squared column norm left
-    in the lowest ``levels`` - FRAME_GUARD of them (all of them when
-    ``levels`` is dim). The table must hold at least ``levels``
-    eigenvectors; one built with exactly ``levels`` is read whole."""
-    n = table.n_steps
+def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, levels: int,
+                saves=None):
+    """(states, leakage): the (dim, m) ``stack`` stepped along ``traj`` at
+    ``n_steps`` midpoint steps in its lowest ``levels`` adiabatic levels,
+    for every duration of ``tf_arr`` at once. states[j, i] is the (dim, m)
+    stack after saves[j] steps at tf_arr[i]; ``saves`` ascends and ends at
+    n_steps, which alone it holds by default. leakage is 1 minus the
+    smallest squared column norm left after the last step in the lowest
+    ``levels`` - FRAME_GUARD levels (all of them when ``levels`` is dim).
+    The eigenvectors come from ``spectral.eigh`` one chunk of steps at a
+    time, and only the chunk's lowest ``levels`` of them are kept, with the
+    previous chunk's last frame for the overlap across the boundary."""
+    spec = traj.spec
+    lams = _midpoint_controls(traj, n_steps)
+    saves = [n_steps] if saves is None else list(saves)
     dim, m = stack.shape
-    if levels > table.eigvecs.shape[2]:
-        raise ValueError(f"table holds {table.eigvecs.shape[2]} levels, fewer than {levels}")
-    vecs = table.eigvecs[:, :, :levels]
-    dts = tf_arr / n
+    dts = tf_arr / n_steps
     # The coefficients are real rows (duration, column, re/im), so a step
     # is one real (rows, M) @ (M, M) product with O_k^T, the same for every
     # duration, then the phases. OpenBLAS (0.3.31) gives a row the same bits
@@ -421,18 +363,28 @@ def _frame_pass(table: MidpointTable, stack: np.ndarray, tf_arr: np.ndarray, lev
     width = -(-levels // 8) * 8
     parts = np.stack([stack.T.real, stack.T.imag], axis=1).reshape(2 * m, dim)
     work = np.empty((len(dts), m, 2, width))
-    work[:] = (parts @ _padded(vecs[0], (dim, width))).reshape(m, 2, width)
     coef, turn = np.empty_like(work), np.empty_like(work)
     flat, work_flat = coef.reshape(-1, width), work.reshape(-1, width)
+    # Saved stacks as (duration, column, bare index), returned transposed.
+    states = np.empty((len(saves), len(dts), m, dim), dtype=complex)
+    pos = 0
     # Steps per chunk: its overlaps and its four phase arrays stay within
-    # _FRAME_CHUNK_ENTRIES, so the pass adds little to the table's memory.
+    # _FRAME_CHUNK_ENTRIES. The chunk's solved eigenvectors add span x dim^2
+    # entries while it is copied (12 MB for one duration at K = 40, M = 32).
     span = max(1, min(_CHUNK, _FRAME_CHUNK_ENTRIES // (width * (width + 4 * len(dts)))))
-    for lo in range(0, n, span):
-        hi = min(lo + span, n)
+    # frames[i] holds V_{lo-1+i}[:, :M] while the chunk from step lo runs.
+    frames = np.empty((span + 1, dim, levels))
+    for lo in range(0, n_steps, span):
+        hi = min(lo + span, n_steps)
+        energies, vectors = _spectral.eigh(spec, lams[lo:hi])
+        frames[1 : hi - lo + 1] = vectors[:, :, :levels]
+        del vectors
+        if lo == 0:
+            work[:] = (parts @ _padded(frames[1], (dim, width))).reshape(m, 2, width)
         # Rotation by exp(-i E dt) acting on (re, im): cos on both parts,
         # plus (-sin, sin) on the swapped (im, re).
         angles = np.zeros((hi - lo, len(dts), width))
-        np.multiply(table.eigvals[lo:hi, None, :levels], -dts[None, :, None],
+        np.multiply(energies[:, None, :levels], -dts[None, :, None],
                     out=angles[:, :, :levels])
         cos = np.cos(angles)[:, :, None, None, :]
         signed = np.empty((hi - lo, len(dts), 1, 2, width))
@@ -442,20 +394,36 @@ def _frame_pass(table: MidpointTable, stack: np.ndarray, tf_arr: np.ndarray, lev
         # O_k^T = V_{k-1}[:, :M]^T V_k[:, :M]; step 0 has none.
         first = max(lo, 1)
         overlaps = np.zeros((hi - first, width, width))
-        np.matmul(vecs[first - 1 : hi - 1].transpose(0, 2, 1), vecs[first:hi],
-                  out=overlaps[:, :levels, :levels])
+        np.matmul(frames[first - lo : hi - lo].transpose(0, 2, 1),
+                  frames[first - lo + 1 : hi - lo + 1], out=overlaps[:, :levels, :levels])
         for k in range(lo, hi):
             if k:
                 np.matmul(flat, overlaps[k - first], out=work_flat)
             np.multiply(work, cos[k - lo], out=coef)
             np.multiply(work[:, :, ::-1], signed[k - lo], out=turn)
             coef += turn
+            if k + 1 == saves[pos]:
+                bare = flat @ _padded(frames[k - lo + 1].T, (width, -(-dim // 8) * 8))
+                bare = bare.reshape(coef.shape[:3] + (-1,))[..., :dim]
+                states[pos] = bare[:, :, 0] + 1j * bare[:, :, 1]
+                pos += 1
+        frames[0] = frames[hi - lo]
     kept = coef[..., : levels if levels == dim else levels - FRAME_GUARD]
     leakage = float(1.0 - np.min(np.sum(kept * kept, axis=(2, 3))))
-    bare = flat @ _padded(vecs[-1].T, (width, -(-dim // 8) * 8))
-    bare = bare.reshape(coef.shape[:3] + (-1,))[..., :dim]
-    finals = (bare[:, :, 0] + 1j * bare[:, :, 1]).transpose(0, 2, 1)
-    return finals, leakage
+    return states.transpose(0, 1, 3, 2), leakage
+
+
+def _frame_states(traj, n_steps, stack, tf_arr, saves=None):
+    """(states, levels, leakage) of ``_frame_pass`` at the fewest levels it
+    accepts: M starts at min(FRAME_LEVELS, dim) and doubles while the
+    leakage exceeds LEAKAGE_LIMIT, up to M = dim, where the pass is exact."""
+    dim = traj.spec.dim
+    levels = min(FRAME_LEVELS, dim)
+    while True:
+        states, leakage = _frame_pass(traj, n_steps, stack, tf_arr, levels, saves)
+        if leakage <= LEAKAGE_LIMIT or levels == dim:
+            return states, levels, leakage
+        levels = min(2 * levels, dim)
 
 
 def _durations(tf_list) -> np.ndarray:
@@ -472,13 +440,12 @@ def _durations(tf_list) -> np.ndarray:
 def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     """(n_steps, final, frame): final(t_f) is psi0, a vector or a (dim, m)
     stack, evolved along ``traj`` played over t_f, for t_f in ``tf_arr``
-    (checked by ``_durations``). All durations share the step count (by
-    default the largest rule of ``pairs`` at the longest one) and one
-    midpoint table if its eigenvectors fit in TABLE_ENTRY_BUDGET. Small
-    models take the tree product over a full table and keep only its
-    ``StepOverlaps``; larger ones take one frame pass over all durations
-    with a table of the levels stepped, rebuilt when they double, and
-    ``frame`` is its (levels, leakage), else a pair of None. The final
+    (checked by ``_durations``). All durations share the step count, by
+    default the largest rule of ``pairs`` at the longest one. Small models
+    whose full midpoint table fits in TABLE_ENTRY_BUDGET take the tree
+    product and keep only its ``StepOverlaps``, and ``frame`` is a pair of
+    None; every other sweep takes one frame pass over all durations
+    (``_frame_states``), and ``frame`` is its (levels, leakage). The final
     states of both get the same norm check as ``evolve``."""
     if n_steps is None:
         n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
@@ -488,16 +455,7 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
         raise ValueError("n_steps must be >= 1")
     dim = traj.spec.dim
 
-    def evolved(t_f):
-        control = _protocol.rescale(traj, t_f)
-        return evolve(control, psi0, n_steps=n_steps, n_save=2).final_state
-
-    def fits(levels):
-        return n_steps * dim * levels <= TABLE_ENTRY_BUDGET
-
-    if dim <= TREE_PRODUCT_MAX_DIM:
-        if not fits(dim):
-            return n_steps, evolved, (None, None)
+    if dim <= TREE_PRODUCT_MAX_DIM and n_steps * dim * dim <= TABLE_ENTRY_BUDGET:
         steps = StepOverlaps(MidpointTable(traj, n_steps))
 
         def final(t_f):
@@ -507,16 +465,7 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
 
         return n_steps, final, (None, None)
 
-    levels = min(FRAME_LEVELS, dim)
-    while True:
-        if not fits(levels):
-            return n_steps, evolved, (None, None)
-        # The table is built inline so that it is freed before a rebuild.
-        finals, leakage = _frame_pass(MidpointTable(traj, n_steps, levels),
-                                      psi0.reshape(dim, -1), tf_arr, levels)
-        if leakage <= LEAKAGE_LIMIT or levels == dim:
-            break
-        levels = min(2 * levels, dim)
+    (finals,), levels, leakage = _frame_states(traj, n_steps, psi0.reshape(dim, -1), tf_arr)
     if psi0.ndim == 1:
         finals = finals[:, :, 0]
     index = {t_f: i for i, t_f in enumerate(tf_arr.tolist())}
@@ -556,13 +505,16 @@ def fidelity_sweep(traj: _protocol.NormalizedTrajectory, tf_list, start=GROUND,
     """Final population versus duration for one normalized trajectory.
 
     ``start`` and ``target`` are 1-based bare indices, or "ground" for
-    the instantaneous ground state at the respective boundary. The step
+    the instantaneous ground state at the respective boundary; a bare
+    index outside 1..dim raises ValueError. The step
     count defaults to the resolution rule at the largest duration and is
     shared across points, so the midpoint tables are built once.
     Per-point numerical failures are collected, not fatal.
     """
     tf_arr = _durations(tf_list)
     psi0 = _start_vector(traj, start).astype(complex)
+    if target != GROUND:
+        bare_state(traj.spec, int(target))
     n_steps, final, (levels, leakage) = _final_states(traj, psi0, tf_arr, n_steps)
     population, failures = _sweep(
         tf_arr, lambda t_f: _population_of(traj, target, final(t_f)), workers)

@@ -110,24 +110,33 @@ def epsilon_sweep(N: int, traj: _protocol.NormalizedTrajectory, t_f: float,
     The drive then ends at lambda_end * (1 + eps), away from the target
     control for eps != 0, while the reference state stays the ground
     state at the nominal final control. eps = -1 freezes the control at
-    zero; values below -1 are rejected.
+    zero; an empty list and values below -1 or not finite are rejected.
+    ``frame_levels`` and ``frame_leakage`` are the largest over the points.
     """
     if not (np.isfinite(t_f) and t_f > 0):
         raise ValueError("t_f must be positive and finite")
     spec = traj.spec
     _check_odd_n(spec, N)
     eps_arr = np.asarray(list(epsilons), dtype=float)
-    if np.any(eps_arr < -1.0):
-        raise ValueError("calibration errors must satisfy eps >= -1")
+    if eps_arr.size == 0:
+        raise ValueError("an epsilon sweep needs at least one calibration error")
+    if not np.all(np.isfinite(eps_arr) & (eps_arr >= -1.0)):
+        raise ValueError("calibration errors must be finite and satisfy eps >= -1")
     if n_steps is None:
         n_steps = _dynamics.default_n_steps(traj, float(t_f), pair=(N, N + 1))
     start = stack_at(spec, spec.lambda_start, N)
     target = stack_at(spec, spec.lambda_end, N)
 
+    frames = []
+
     def fidelity_at(eps):
         control = _protocol.rescale(traj.scaled(1.0 + float(eps)), float(t_f))
-        return tg_fidelity(evolve_stack(start, control, n_steps=n_steps), target)
+        result = _dynamics.evolve(control, start, n_steps=n_steps, n_save=2)
+        frames.append((result.frame_levels, result.frame_leakage))
+        return tg_fidelity(result.final_state, target)
 
     fidelity, failures = _dynamics._sweep(eps_arr, fidelity_at, workers)
     return ManyBodyFidelityCurve(abscissa=eps_arr, fidelity=fidelity, N=N,
-                                 protocol=traj.kind, label="epsilon", failures=failures)
+                                 protocol=traj.kind, label="epsilon", failures=failures,
+                                 frame_levels=max((f[0] for f in frames), default=None),
+                                 frame_leakage=max((f[1] for f in frames), default=None))

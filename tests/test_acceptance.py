@@ -161,14 +161,12 @@ def test_criterion_05_infidelity_envelope_and_zeros(two_level_spec, two_level_fa
 
     # (a) beyond the first revival the excited-state weight stays under
     # 1.2 x the first-order envelope at the antinodes
-    table = dynamics.MidpointTable(two_level_faquad, 8192)
     psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
     ratios = []
     for k in range(1, 7):
         t_f = (k + 0.5) * period
         control = protocol.rescale(two_level_faquad, t_f)
-        res = dynamics.evolve(control, psi0, n_steps=8192,
-                              n_save=2, table=table)
+        res = dynamics.evolve(control, psi0, n_steps=8192, n_save=2)
         proj = dynamics.adiabatic_projection(res)
         g2 = float(np.abs(proj.g[-1, 1]) ** 2)
         ratios.append(g2 / pred.envelope(t_f))

@@ -47,7 +47,9 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     monkeypatch.delenv("FAQUAD_WORKERS", raising=False)
     metrics, _ = _traced_metrics(tracing, tmp_path, ["figure", "fig6a", "--K", "20",
                                                      "--n-steps", "400", "--tf-count", "2"])
-    assert metrics["dynamics.table.builds"] == 3
+    # The frame pass solves its steps in chunks and keeps no midpoint table,
+    # so the tracer's table spans see none of the three sweeps.
+    assert metrics["dynamics.table.builds"] == 0
     assert metrics["protocol.design.calls"] > 0
     # The linear ramp and the two FAQUAD designs, 400 steps each.
     assert metrics["dynamics.n_steps"] == 3 * 400

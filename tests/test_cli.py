@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import faquad
-from faquad import cli
+from faquad import cli, dynamics
 
 TWO_LEVEL_FLAGS = ["--model", "two-level", "--U", "22.3",
                    "--lambda-start", "66.7", "--lambda-end", "0"]
@@ -167,7 +167,6 @@ def test_sweep_tf_outputs(tmp_path):
 def test_ring_duration_sweeps_report_their_frame(tmp_path, args, tags):
     # Each sweep's adiabatic levels and leakage, so that a reader can judge
     # the truncation from the manifest.
-    from faquad import dynamics
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
     derived = json.loads((tmp_path / "o" / "manifest.json").read_text())["derived"]
     for tag in tags:
@@ -185,6 +184,11 @@ def test_sweep_eps_outputs(tmp_path):
     assert header == "epsilon,fidelity,N"
     assert [r[2] for r in rows] == ["3", "3"]
     assert float(rows[1][0]) == 0.0
+    # Each epsilon point is one frame pass; the largest levels and leakage
+    # over the points are reported per N.
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert derived["frame_levels_N3"] == dynamics.FRAME_LEVELS
+    assert 0 < derived["frame_leakage_N3"] <= dynamics.LEAKAGE_LIMIT
 
 
 def test_evolve_projection_output(tmp_path):
@@ -200,6 +204,9 @@ def test_evolve_projection_output(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     pops = manifest["derived"]["final_populations"]
     assert sum(pops) == pytest.approx(1.0, abs=1e-9)
+    # Two levels are the whole model: the frame pass truncates nothing.
+    assert manifest["derived"]["frame_levels"] == 2
+    assert abs(manifest["derived"]["frame_leakage"]) <= 1e-12
 
 
 def test_spectrum_outputs_ring_oracle_files(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from faquad import dynamics, model, perturbation, protocol, spectral, tg
-from faquad.errors import FaquadError
+from faquad.errors import FaquadError, StepSizeTooCoarse
 
 PI_PULSE_TIME = math.pi / (2.0 * math.sqrt(2.0))
 
@@ -150,6 +150,16 @@ def test_evolve_input_validation(two_level_faquad):
         dynamics.evolve(control, np.array([1.0, 0.0]), n_save=1)
 
 
+def test_norm_checks_reject_nan(two_level_faquad):
+    # A NaN norm drift compares false against any limit, so it must fail the
+    # checks rather than slip past them.
+    control = protocol.rescale(two_level_faquad, 1.0)
+    with pytest.raises(ValueError, match="normalized"):
+        dynamics.evolve(control, np.array([math.nan, 0.0]), n_steps=100)
+    with pytest.raises(StepSizeTooCoarse, match="norm drift"):
+        dynamics._check_norm(np.array([[math.nan], [0.0]]), axis=0)
+
+
 def test_projection_initial_value_and_sum_rule(two_level_spec, two_level_faquad):
     pred = perturbation.predict(two_level_faquad)
     t_f = 1.5 * pred.period
@@ -227,13 +237,15 @@ def test_sweep_rejects_bad_durations(two_level_faquad, monkeypatch):
     with pytest.raises(ValueError):
         dynamics.fidelity_sweep(two_level_faquad, [1.0, -2.0])
 
-    # A NaN or infinite duration is rejected before the step rule runs or
-    # a table is built, with or without an explicit step count.
+    # A NaN or infinite duration or calibration error is rejected before
+    # the step rule runs, a table is built or a state is stepped, with or
+    # without an explicit step count.
     def refused(*args, **kwargs):
-        raise AssertionError("the step rule or a table was reached")
+        raise AssertionError("the step rule, a table or a frame pass was reached")
 
     monkeypatch.setattr(dynamics, "default_n_steps", refused)
     monkeypatch.setattr(dynamics, "MidpointTable", refused)
+    monkeypatch.setattr(dynamics, "_frame_pass", refused)
     ring = protocol.linear_ramp(model.ring(u0=0.5, K=2))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="durations"):
@@ -244,16 +256,20 @@ def test_sweep_rejects_bad_durations(two_level_faquad, monkeypatch):
             tg.duration_sweep([3], ring, [bad], n_steps=400)
         with pytest.raises(ValueError, match="t_f"):
             tg.epsilon_sweep(1, ring, bad)
+        for n_steps in (None, 400):
+            with pytest.raises(ValueError, match="calibration errors"):
+                tg.epsilon_sweep(1, ring, 5.0, epsilons=[0.0, bad], n_steps=n_steps)
 
 
 def test_sweeps_reject_empty_durations_and_fillings(two_level_faquad, monkeypatch):
-    # Before the step rule runs or a table is built, with or without an
-    # explicit step count.
+    # Before the step rule runs, a table is built or a state is stepped,
+    # with or without an explicit step count.
     def refused(*args, **kwargs):
-        raise AssertionError("the step rule or a table was reached")
+        raise AssertionError("the step rule, a table or a frame pass was reached")
 
     monkeypatch.setattr(dynamics, "default_n_steps", refused)
     monkeypatch.setattr(dynamics, "MidpointTable", refused)
+    monkeypatch.setattr(dynamics, "_frame_pass", refused)
     ring = protocol.linear_ramp(model.ring(u0=0.5, K=2))
     for n_steps in (None, 400):
         with pytest.raises(ValueError, match="at least one duration"):
@@ -262,6 +278,21 @@ def test_sweeps_reject_empty_durations_and_fillings(two_level_faquad, monkeypatc
             tg.duration_sweep([3], ring, [], n_steps=n_steps)
         with pytest.raises(ValueError, match="at least one filling"):
             tg.duration_sweep([], ring, [1.0], n_steps=n_steps)
+        with pytest.raises(ValueError, match="at least one calibration error"):
+            tg.epsilon_sweep(1, ring, 5.0, epsilons=[], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("target", [0, -1, 3, 5])
+def test_sweep_rejects_a_target_outside_the_levels(two_level_faquad, monkeypatch, target):
+    # A bare target outside 1..dim would otherwise index the state from the
+    # end (0, -1) or fail late; it fails before the step rule or a table.
+    def refused(*args, **kwargs):
+        raise AssertionError("the step rule or a table was reached")
+
+    monkeypatch.setattr(dynamics, "default_n_steps", refused)
+    monkeypatch.setattr(dynamics, "MidpointTable", refused)
+    with pytest.raises(ValueError, match="bare index"):
+        dynamics.fidelity_sweep(two_level_faquad, [1.0], target=target)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3])
@@ -325,7 +356,7 @@ def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_faquad,
 @pytest.mark.parametrize("K", [2, 3])
 def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
     # d = 5 and 7: the tree path forms every final state, and agrees with
-    # streaming evolve.
+    # evolve, a frame pass at M = dim.
     spec = model.ring(u0=0.5, K=K)
     assert spec.dim <= dynamics.TREE_PRODUCT_MAX_DIM
     traj = protocol.linear_ramp(spec)
@@ -343,23 +374,78 @@ def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
         assert np.max(np.abs(state - streamed.final_state)) <= 1e-12
 
 
-# The untruncated frame pass and bare-basis evolve round differently: at
-# 800 steps their ring fidelities differ by up to 3e-12.
+# The untruncated frame pass and stepping in the bare basis round
+# differently: at 800 steps their ring fidelities differ by up to 3e-12.
 ROUNDING = 1e-11
+
+
+def _bare_steps(traj, psi0, t_f, n_steps):
+    """The reference integrator, apart from the code under test: psi0 (a
+    vector or a (dim, m) stack) stepped in the bare basis by the midpoint
+    rule, psi <- V exp(-i E dt) V^T psi with complex matrix products, from
+    ``spectral.eigh``. Returns the (n_steps + 1, dim, m) states after 0 to
+    n_steps steps."""
+    spec = traj.spec
+    lams = traj.evaluate((np.arange(n_steps) + 0.5) / n_steps)
+    dt = t_f / n_steps
+    psi = np.asarray(psi0, dtype=complex).reshape(spec.dim, -1)
+    states = [psi]
+    for lo in range(0, n_steps, 256):
+        energies, vectors = spectral.eigh(spec, lams[lo : lo + 256])
+        for w, v in zip(energies, vectors):
+            v = v.astype(complex)
+            psi = v @ (np.exp(-1j * w * dt)[:, None] * (v.T @ psi))
+            states.append(psi)
+    return np.stack(states)
 
 
 def _bare_fidelities(traj, Ns, tf_list, n_steps):
     """(len(tf_list), len(Ns)) fidelities of one stack of max(Ns)
-    orbitals stepped in the bare basis by ``evolve``."""
+    orbitals stepped in the bare basis by ``_bare_steps``."""
     spec = traj.spec
     start = tg.stack_at(spec, spec.lambda_start, max(Ns))
     targets = [tg.stack_at(spec, spec.lambda_end, N) for N in Ns]
     out = np.empty((len(tf_list), len(Ns)))
     for i, t_f in enumerate(tf_list):
-        final = dynamics.evolve(protocol.rescale(traj, t_f), start, n_steps=n_steps,
-                                n_save=2).final_state
+        final = _bare_steps(traj, start, t_f, n_steps)[-1]
         out[i] = [tg.tg_fidelity(final[:, : t.shape[1]], t) for t in targets]
     return out
+
+
+@pytest.mark.parametrize("case", ["two-level", "ring-stack", "ring-bare-start"])
+def test_evolve_matches_the_bare_basis_stepper(request, case):
+    # evolve is one frame pass. Two levels are all of the model, and a bare
+    # ring state leaks out of 32 levels, so it doubles to M = dim: there
+    # every saved state matches the stepper. A K = 40 stack of 9 orbitals
+    # stays in 32 levels, and its fidelity moves by at most the leakage.
+    if case == "two-level":
+        traj = request.getfixturevalue("two_level_faquad")
+        psi0 = spectral.eigenstate(traj.spec, 66.7, level=1)
+        t_f, n_steps, n_save, levels = 2.5, 2000, 401, 2
+    elif case == "ring-stack":
+        spec = request.getfixturevalue("ring_spec")
+        traj = protocol.linear_ramp(spec)
+        psi0 = tg.stack_at(spec, spec.lambda_start, 9)
+        t_f, n_steps, n_save, levels = 30.0, 800, 2, dynamics.FRAME_LEVELS
+    else:
+        spec = model.ring(u0=0.5, K=20)
+        traj = protocol.linear_ramp(spec)
+        psi0 = dynamics.bare_state(spec, spec.params.K + 1)
+        t_f, n_steps, n_save, levels = 10.0, 800, 5, spec.dim
+    result = dynamics.evolve(protocol.rescale(traj, t_f), psi0, n_steps=n_steps, n_save=n_save)
+    assert result.frame_levels == levels
+    assert result.frame_leakage <= dynamics.LEAKAGE_LIMIT
+    assert len(result.times) == n_save
+    reference = _bare_steps(traj, psi0, t_f, n_steps)
+    bound = result.frame_leakage + ROUNDING
+    if case == "ring-stack":
+        target = tg.stack_at(spec, spec.lambda_end, 9)
+        error = abs(tg.tg_fidelity(result.final_state, target)
+                    - tg.tg_fidelity(reference[-1], target))
+    else:
+        steps = np.round(result.times / t_f * n_steps).astype(int)
+        error = np.max(np.abs(result.states - reference[steps][:, :, 0]))
+    assert error <= bound
 
 
 @pytest.mark.parametrize("kind", ["linear", "faquad"])
@@ -391,13 +477,13 @@ def test_frame_pass_gives_a_column_the_same_bits_at_any_stack_width():
     # stack, so a column must come out the same whatever the stack width,
     # truncated or not, for one or many durations.
     spec = model.ring(u0=0.5, K=20)
-    table = dynamics.MidpointTable(protocol.linear_ramp(spec), 200)
+    traj = protocol.linear_ramp(spec)
     stack = tg.stack_at(spec, spec.lambda_start, 9)
     for levels in (dynamics.FRAME_LEVELS, spec.dim):
         for tf_arr in (np.array([2.0]), np.array([2.0, 5.0]), np.linspace(1.0, 9.0, 7)):
-            wide, _ = dynamics._frame_pass(table, stack, tf_arr, levels)
+            (wide,), _ = dynamics._frame_pass(traj, 200, stack, tf_arr, levels)
             for m in (1, 3, 5):
-                narrow, _ = dynamics._frame_pass(table, stack[:, :m], tf_arr, levels)
+                (narrow,), _ = dynamics._frame_pass(traj, 200, stack[:, :m], tf_arr, levels)
                 assert np.array_equal(narrow, wide[:, :, :m]), (levels, len(tf_arr), m)
 
 
@@ -415,30 +501,10 @@ def test_frame_levels_double_while_the_stack_leaks(K, levels):
     assert error <= curve.frame_leakage + ROUNDING
 
 
-@pytest.mark.parametrize("K,N,levels", [(40, 9, 32), (40, 31, 64), (20, 31, 41)])
-def test_frame_pass_over_a_truncated_table_matches_the_full_table(K, N, levels):
-    # A table of only the levels stepped gives the pass the same bits as
-    # the leading columns of a full table: the fig6a frame and both
-    # doubled frames of test_frame_levels_double_while_the_stack_leaks.
-    spec = model.ring(u0=0.5, K=K)
-    traj = protocol.linear_ramp(spec)
-    stack = tg.stack_at(spec, spec.lambda_start, N)
-    tf_arr = np.array([2.0, 10.0])
-    truncated = dynamics.MidpointTable(traj, 800, levels)
-    assert truncated.eigvecs.shape == (800, spec.dim, levels)
-    assert truncated.eigvecs.flags.c_contiguous
-    full_finals, full_leakage = dynamics._frame_pass(dynamics.MidpointTable(traj, 800), stack,
-                                                     tf_arr, levels)
-    finals, leakage = dynamics._frame_pass(truncated, stack, tf_arr, levels)
-    assert np.array_equal(finals, full_finals)
-    assert leakage == full_leakage
-    with pytest.raises(ValueError, match="levels"):
-        dynamics._frame_pass(dynamics.MidpointTable(traj, 10, levels - 1), stack, tf_arr, levels)
-
-
 def test_ring_duration_sweep_holds_only_the_frame_levels():
-    # The fig6a shape: a K = 40 ring at 4000 steps steps in 32 levels, so
-    # its table is (4000, 81, 32), 83 MB, where all 81 levels took 210 MB.
+    # The fig6a shape: a K = 40 ring at 4000 steps steps in 32 levels,
+    # solved one chunk of steps at a time, so no midpoint table is built
+    # (a (4000, 81, 81) one would take 210 MB).
     shapes = []
     init = dynamics.MidpointTable.__init__
 
@@ -460,25 +526,29 @@ def test_ring_duration_sweep_holds_only_the_frame_levels():
         if not tracing:
             tracemalloc.stop()
     assert curves[0].frame_levels == dynamics.FRAME_LEVELS
-    assert shapes == [(4000, 81, dynamics.FRAME_LEVELS)]
+    assert shapes == []
     assert peak <= 110e6
 
 
-@pytest.mark.parametrize("N,entries_per_step,passes,evolves,levels", [
-    (3, 81 * 48, 1, 0, dynamics.FRAME_LEVELS),
-    (3, 81 * 16, 0, 2, None),
-    (31, 81 * 48, 1, 2, None),
-], ids=["frame", "evolve", "doubled-frame-too-large"])
-def test_table_budget_counts_the_frame_levels(monkeypatch, N, entries_per_step, passes,
-                                              evolves, levels):
-    # TABLE_ENTRY_BUDGET bounds the eigenvectors held, n_steps x dim x M on
-    # the ring: a budget between n dim 32 and n dim^2 takes the frame pass,
-    # one below n dim 32 steps each duration in the bare basis, and so does
-    # a stack that leaks out of 32 levels when 64 do not fit.
-    traj = protocol.linear_ramp(model.ring(u0=0.5, K=40))
+@pytest.mark.parametrize("kind,budget,passes,levels", [
+    ("two-level", 800 * 2 * 2, 0, None),
+    ("two-level", 800 * 2 * 2 - 1, 1, 2),
+    ("ring", 800 * 81 * 81, 1, dynamics.FRAME_LEVELS),
+], ids=["tree", "frame", "ring"])
+def test_table_budget_gates_only_the_tree_table(monkeypatch, two_level_faquad, kind, budget,
+                                                passes, levels):
+    # TABLE_ENTRY_BUDGET bounds the tree's full table, n_steps x dim^2: a
+    # small model whose table does not fit takes the frame pass at M = dim,
+    # with the tree's populations to rounding. A ring sweep takes the frame
+    # pass whatever the budget, and builds no table.
+    if kind == "ring":
+        traj = protocol.linear_ramp(model.ring(u0=0.5, K=40))
+    else:
+        traj = two_level_faquad
     n_steps, tf_list = 800, [2.0, 10.0]
-    monkeypatch.setattr(dynamics, "TABLE_ENTRY_BUDGET", n_steps * entries_per_step)
-    calls = {"_frame_pass": 0, "evolve": 0}
+    unpatched = dynamics.fidelity_sweep(traj, tf_list, n_steps=n_steps)
+    monkeypatch.setattr(dynamics, "TABLE_ENTRY_BUDGET", budget)
+    calls = {"_frame_pass": 0, "MidpointTable": 0}
     for name in calls:
         original = getattr(dynamics, name)
 
@@ -487,43 +557,10 @@ def test_table_budget_counts_the_frame_levels(monkeypatch, N, entries_per_step, 
             return _original(*a, **k)
 
         monkeypatch.setattr(dynamics, name, counted)
-    (curve,) = tg.duration_sweep([N], traj, tf_list, n_steps=n_steps)
-    assert calls == {"_frame_pass": passes, "evolve": evolves}
+    curve = dynamics.fidelity_sweep(traj, tf_list, n_steps=n_steps)
+    assert calls == {"_frame_pass": passes, "MidpointTable": 1 - passes}
     assert curve.frame_levels == levels
-    assert not np.any(np.isnan(curve.fidelity))
-
-
-def test_evolve_rejects_a_truncated_table():
-    spec = model.ring(u0=0.5, K=3)
-    traj = protocol.linear_ramp(spec)
-    table = dynamics.MidpointTable(traj, 50, levels=4)
-    with pytest.raises(ValueError, match="4 of 7 eigenvectors"):
-        dynamics.evolve(protocol.rescale(traj, 2.0), dynamics.bare_state(spec, 1), table=table)
-
-
-def test_step_overlaps_reject_a_truncated_table():
-    table = dynamics.MidpointTable(protocol.linear_ramp(model.ring(u0=0.5, K=3)), 50, levels=4)
-    with pytest.raises(ValueError, match="4 of 7 eigenvectors"):
-        dynamics.StepOverlaps(table)
-
-
-def test_midpoint_table_reuse(two_level_spec, two_level_faquad):
-    table = dynamics.MidpointTable(two_level_faquad, 2048)
-    psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
-    for t_f in (1.0, 2.5):
-        control = protocol.rescale(two_level_faquad, t_f)
-        with_table = dynamics.evolve(control, psi0,
-                                     n_steps=2048, table=table)
-        without = dynamics.evolve(control, psi0, n_steps=2048)
-        assert np.array_equal(with_table.final_state, without.final_state)
-
-
-def test_evolve_rejects_a_table_of_another_trajectory(two_level_spec, two_level_faquad):
-    table = dynamics.MidpointTable(two_level_faquad, 2048)
-    control = protocol.rescale(protocol.linear_ramp(two_level_spec), 2.0)
-    psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
-    with pytest.raises(ValueError, match="trajectory"):
-        dynamics.evolve(control, psi0, table=table)
+    assert np.max(np.abs(curve.population - unpatched.population)) <= ROUNDING
 
 
 def test_stacked_state_evolution(two_level_spec, two_level_faquad):
@@ -540,30 +577,26 @@ def test_stacked_state_evolution(two_level_spec, two_level_faquad):
 
 
 def test_ring_evolve_matches_a_complex_matmul_loop():
-    # evolve steps the real and imaginary parts with real matrix products;
-    # the plain loop casts each eigenvector matrix to complex.
+    # evolve steps real coefficient rows in the adiabatic frame (all 25
+    # levels at K = 12); the plain loop of _bare_steps casts each
+    # eigenvector matrix to complex. A column slice gives the bits of the
+    # same columns stored contiguously.
     spec = model.ring(u0=0.5, K=12)
     traj = protocol.linear_ramp(spec)
-    table = dynamics.MidpointTable(traj, 400)
     control = protocol.rescale(traj, 20.0)
-    dt = 20.0 / 400
     orbitals = tg.stack_at(spec, spec.lambda_start, 5) * np.exp(1j * np.arange(5))
-
-    def plain(psi):
-        psi = psi.reshape(spec.dim, -1)
-        for w, v in zip(table.eigvals, table.eigvecs):
-            v = v.astype(complex)
-            psi = v @ (np.exp(-1j * w * dt)[:, None] * (v.T @ psi))
-        return psi
 
     cases = {"stack": orbitals[:, :3], "vector": orbitals[:, 1], "slice": orbitals[:, ::2]}
     assert not cases["slice"].flags.c_contiguous
     for name, psi0 in cases.items():
-        final = dynamics.evolve(control, psi0, n_save=2, table=table).final_state
+        final = dynamics.evolve(control, psi0, n_steps=400, n_save=2).final_state
         assert final.shape == psi0.shape, name
-        assert np.max(np.abs(final.reshape(spec.dim, -1) - plain(psi0))) <= 1e-13, name
-        streamed = dynamics.evolve(control, psi0, n_steps=400, n_save=2).final_state
-        assert np.array_equal(streamed, final), name
+        plain = _bare_steps(traj, psi0, 20.0, 400)[-1]
+        assert np.max(np.abs(final.reshape(spec.dim, -1) - plain)) <= 1e-13, name
+    contiguous = dynamics.evolve(control, np.ascontiguousarray(cases["slice"]), n_steps=400,
+                                 n_save=2).final_state
+    sliced = dynamics.evolve(control, cases["slice"], n_steps=400, n_save=2).final_state
+    assert np.array_equal(sliced, contiguous)
 
 
 @pytest.mark.parametrize("spec_name,traj_name,t_f,n_steps", [

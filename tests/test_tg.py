@@ -143,19 +143,24 @@ def test_duration_sweep_scores_each_filling_on_one_stack(ring_faquad_n3):
     assert not np.array_equal(nine.fidelity, alone.fidelity)
 
 
-def test_fig6a_builds_one_table_per_trajectory(tmp_path, monkeypatch):
-    # The linear ramp serves both fillings; each FAQUAD design has its own.
-    built = []
-    init = dynamics.MidpointTable.__init__
+def test_fig6a_takes_one_frame_pass_per_trajectory(tmp_path, monkeypatch):
+    # The linear ramp serves both fillings; each FAQUAD design has its own
+    # pass. No midpoint table is built.
+    passes = []
+    frame_pass = dynamics._frame_pass
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args[0].kind)
-        init(self, *args, **kwargs)
+    def counting_pass(traj, *args, **kwargs):
+        passes.append(traj.kind)
+        return frame_pass(traj, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics.MidpointTable, "__init__", counting_init)
+    def refused(*args, **kwargs):
+        raise AssertionError("a midpoint table was built")
+
+    monkeypatch.setattr(dynamics, "_frame_pass", counting_pass)
+    monkeypatch.setattr(dynamics, "MidpointTable", refused)
     assert cli.main(["figure", "fig6a", "--K", "20", "--n-steps", "400",
                      "--tf-count", "3", "--out", str(tmp_path / "o")]) == 0
-    assert sorted(built) == [protocol.FAQUAD, protocol.FAQUAD, protocol.LINEAR]
+    assert sorted(passes) == [protocol.FAQUAD, protocol.FAQUAD, protocol.LINEAR]
 
 
 def test_final_control_stack_is_the_ground_block(ring_spec):
