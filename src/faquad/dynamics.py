@@ -43,7 +43,8 @@ time and only their lowest M columns are kept, so no eigenvector table is
 held. The leakage, 1 minus the smallest squared column norm of c in its
 lowest M - FRAME_GUARD levels, is measured at the end: M starts at
 FRAME_LEVELS and doubles while the leakage exceeds LEAKAGE_LIMIT, up to
-M = dim, the exact untruncated case. Truncation moves ring fidelities at
+M = dim, the exact untruncated case; an M that the start's projection on
+the first step's frame already rules out is skipped. Truncation moves ring fidelities at
 the 1e-10 level against stepping in the bare basis. A small-model sweep
 whose full table does not fit in TABLE_ENTRY_BUDGET takes the frame pass
 at M = dim.
@@ -416,9 +417,18 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
 def _frame_states(traj, n_steps, stack, tf_arr, saves=None):
     """(states, levels, leakage) of ``_frame_pass`` at the fewest levels it
     accepts: M starts at min(FRAME_LEVELS, dim) and doubles while the
-    leakage exceeds LEAKAGE_LIMIT, up to M = dim, where the pass is exact."""
+    leakage exceeds LEAKAGE_LIMIT, up to M = dim, where the pass is exact.
+    A level count that the start stack alone rules out is never run."""
     dim = traj.spec.dim
     levels = min(FRAME_LEVELS, dim)
+    if levels < dim:
+        # A truncated step is a contraction, so a pass in M levels ends with
+        # at least the leakage of the stack's projection onto the lowest M
+        # levels of the first midpoint frame.
+        first = _spectral.eigh(traj.spec, _midpoint_controls(traj, n_steps)[:1])[1][0]
+        kept = np.cumsum(np.abs(first.T @ stack) ** 2, axis=0)
+        while levels < dim and 1.0 - np.min(kept[levels - 1]) > LEAKAGE_LIMIT:
+            levels = min(2 * levels, dim)
     while True:
         states, leakage = _frame_pass(traj, n_steps, stack, tf_arr, levels, saves)
         if leakage <= LEAKAGE_LIMIT or levels == dim:

@@ -5,10 +5,14 @@ real and made continuous along a grid by fixing the sign of each column
 against the previous grid point. ``eigh`` is the one eigensolver, and
 this the one module that assembles H: the midpoint tables and step rule
 of ``dynamics``, ``frames``, the gap integral of ``perturbation`` and the
-``spectrum`` subcommand read their energies from it. ``frames`` is the one routine that applies the sign
-gauge; the tracked frames, single eigenstates, the orbital stacks of
-``tg`` and the adiabatic projection of ``dynamics`` all read their
-eigenvectors from it. Level couplings are computed with the off-diagonal
+``spectrum`` subcommand read their energies from it. One private routine,
+``_gauged_frames``, applies the sign gauge: it solves a grid one chunk of
+controls at a time and carries the gauge across the chunks. ``frames``
+is that routine with every eigenvector column, and single eigenstates,
+the orbital stacks of ``tg`` and the adiabatic projection of ``dynamics``
+read their eigenvectors from it; ``track_frames`` is that routine with
+the columns of its level pairs only, so a design track holds no
+eigenvector table. Level couplings are computed with the off-diagonal
 Hellmann-Feynman identity
 
     <phi_i | d/dlambda phi_j> = <phi_i | dH/dlambda | phi_j> / (E_j - E_i)
@@ -53,6 +57,9 @@ DEGENERACY_RTOL = 1e-12
 # LAPACK's divide and conquer (dlaed2, dlaed8), below which LAPACK itself
 # hands neither to its secular solver.
 POLE_TIE_RTOL = 8.0 * np.finfo(float).eps
+# Float64 eigenvector entries that ``frames`` and ``track_frames`` solve at
+# once (2 MB): 39 controls at K = 40, and every few-level design grid in one.
+_CHUNK_ENTRIES = 2 ** 18
 
 # The arguments of dlaed9(k, kstart, kstop, n, d, q, ldq, rho, dlamda, w, s,
 # lds, info), all pointers, as scipy.linalg.cython_lapack declares them.
@@ -93,17 +100,17 @@ _DLAED9 = _dlaed9_handle(_cython_lapack.__pyx_capi__)
 
 @dataclass(frozen=True)
 class FrameTrack:
-    """Sign-fixed eigendecompositions along a strictly monotone control grid.
+    """Level couplings along a strictly monotone control grid.
 
-    ``energies`` has shape (n_grid, dim), ``vectors`` (n_grid, dim, dim)
-    with eigenvector columns, and ``couplings`` maps a 1-based level pair
-    (i, j) with i < j to an array of <phi_i|d_lambda phi_j> over the grid.
+    ``energies`` has shape (n_grid, dim), and ``couplings`` maps a 1-based
+    level pair (i, j) of ``pairs``, with i < j, to an array of
+    <phi_i|d_lambda phi_j> over the grid in the gauge of ``frames``. The
+    eigenvectors themselves are not kept.
     """
 
     spec: _model.ModelSpec
     grid: np.ndarray
     energies: np.ndarray
-    vectors: np.ndarray
     pairs: tuple
     couplings: dict = field(repr=False)
 
@@ -213,33 +220,70 @@ def _ring_eigh(spec, lams):
     return energies, vectors
 
 
-def frames(spec: _model.ModelSpec, lams):
-    """Energies (n, dim) and eigenvector columns (n, dim, dim) of H at each
-    control of the 1-d array ``lams``, from ``eigh``, in the package's sign
-    gauge: the columns at the first control follow ``gauge_fix_columns``,
-    and each later column has a nonnegative overlap with the one before
-    it (``sign_fix`` against the column before, applied at every control
-    at once)."""
-    energies, vectors = eigh(spec, lams)
-    vectors[0] = gauge_fix_columns(vectors[0])
+def _sign_gauge(vectors: np.ndarray) -> None:
+    """Sign rows 1.. of the eigenvector columns ``vectors`` (n, dim, m) in
+    place, row 0 being in the gauge already: each column gets the sign that
+    ``sign_fix`` against the column before gives it, at every row at once."""
     # A column's sign is the product of the signs of the raw overlaps since
     # its last zero overlap, where sign_fix leaves the column as solved and
     # the product starts again; flipping a column flips its next overlap
     # exactly, so these signs are the ones sign_fix finds step by step.
-    # The scratch is kept small (int8 signs, int32 indices), since a design
-    # track's frames are the largest array of a ring run.
     overlaps = np.einsum("kij,kij->kj", vectors[:-1], vectors[1:])
-    signs = np.ones(energies.shape, dtype=np.int8)
+    shape = (len(vectors), vectors.shape[2])
+    signs = np.ones(shape, dtype=np.int8)
     signs[1:][overlaps < 0.0] = -1
     zero = ~((overlaps < 0.0) | (overlaps > 0.0))
-    del overlaps
-    restart = np.zeros(energies.shape, dtype=np.int32)
+    restart = np.zeros(shape, dtype=np.int32)
     restart[1:][zero] = np.nonzero(zero)[0] + 1
     np.maximum.accumulate(restart, axis=0, out=restart)
     np.cumprod(signs, axis=0, out=signs)
     signs *= np.take_along_axis(signs, restart, axis=0)
     vectors *= signs[:, None, :]
+
+
+def _gauged_frames(spec, lams, columns=None):
+    """Energies (n, dim) and the eigenvector columns ``columns`` (0-based
+    levels, all of them when None) of H at each control of the 1-d array
+    ``lams``, in the gauge of ``frames``. ``eigh`` solves at most
+    _CHUNK_ENTRIES eigenvector entries at a time and only the chosen
+    columns are kept; each chunk after the first is sign-fixed against the
+    previous chunk's last gauged row, so the chunks give the gauge of one
+    solve of the whole grid. A grid that fits in one chunk returns the
+    arrays of its one ``eigh`` call."""
+    lams = _model._controls(lams)
+    if lams.ndim != 1 or len(lams) == 0:
+        raise ValueError("controls must be a non-empty 1-d array")
+    n, dim = len(lams), spec.dim
+    span = max(1, _CHUNK_ENTRIES // (dim * dim))
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
+        chunk_energies, chunk = eigh(spec, lams[lo:hi])
+        if columns is not None:
+            # take returns C order, so a column stays strided as in the
+            # whole array: track_frames' einsum sums a contiguous column in
+            # another order, which would move the couplings' last bits.
+            chunk = np.take(chunk, columns, axis=2)
+        if lo == 0:
+            chunk[0] = gauge_fix_columns(chunk[0])
+            if hi == n:
+                _sign_gauge(chunk)
+                return chunk_energies, chunk
+            energies = np.empty((n, dim))
+            vectors = np.empty((n,) + chunk.shape[1:])
+        energies[lo:hi], vectors[lo:hi] = chunk_energies, chunk
+        # Row lo - 1 is gauged already and carries the gauge into the chunk.
+        _sign_gauge(vectors[max(lo - 1, 0) : hi])
     return energies, vectors
+
+
+def frames(spec: _model.ModelSpec, lams):
+    """Energies (n, dim) and eigenvector columns (n, dim, dim) of H at each
+    control of the 1-d array ``lams``, from ``eigh``, in the package's sign
+    gauge: the columns at the first control follow ``gauge_fix_columns``,
+    and each later column has a nonnegative overlap with the one before
+    it (``sign_fix`` against the column before). A long grid is solved in
+    chunks (``_gauged_frames``)."""
+    return _gauged_frames(spec, lams)
 
 
 def eigenstate(spec: _model.ModelSpec, lam: float, level: int = 1) -> np.ndarray:
@@ -250,7 +294,9 @@ def eigenstate(spec: _model.ModelSpec, lam: float, level: int = 1) -> np.ndarray
 
 def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     """Diagonalize along ``grid`` with continuity sign-fixing and compute
-    the requested pair couplings.
+    the requested pair couplings. The grid is solved in chunks and only the
+    eigenvector columns of the levels in ``pairs`` are kept, in the gauge
+    of ``frames`` (``_gauged_frames``).
 
     Parameters
     ----------
@@ -276,7 +322,9 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
         raise ValueError("grid must be strictly monotone")
 
     pairs = tuple(dict.fromkeys(_canonical_pair(p, spec.dim) for p in pairs))
-    energies, vectors = frames(spec, grid)
+    levels = sorted({level for pair in pairs for level in pair})
+    column = {level: n for n, level in enumerate(levels)}
+    energies, vectors = _gauged_frames(spec, grid, [level - 1 for level in levels])
     # dH/dlambda is diagonal, so the coupling numerator is an O(dim)
     # contraction per grid point.
     dh = _model.d_hamiltonian_d_lambda(spec, grid)
@@ -289,14 +337,13 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
         if np.any(bad):
             k = int(np.argmax(bad))
             raise DegenerateGap(grid[k], (i, j))
-        numer = np.einsum("nd,nd->n", vectors[:, :, i - 1] * dh, vectors[:, :, j - 1])
+        numer = np.einsum("nd,nd->n", vectors[:, :, column[i]] * dh, vectors[:, :, column[j]])
         couplings[(i, j)] = numer / gap
 
     return FrameTrack(
         spec=spec,
         grid=grid,
         energies=energies,
-        vectors=vectors,
         pairs=pairs,
         couplings=couplings,
     )

@@ -501,6 +501,30 @@ def test_frame_levels_double_while_the_stack_leaks(K, levels):
     assert error <= curve.frame_leakage + ROUNDING
 
 
+def test_frame_states_skip_levels_the_start_already_leaks(monkeypatch):
+    # A bare K = 40 state leaves 1.1e-7 of its norm outside the lowest 32
+    # levels of the first midpoint frame and 7.2e-9 outside 64, and no
+    # truncated pass can end with less, so evolve steps it once, at all 81.
+    spec = model.ring(u0=0.5, K=40)
+    control = protocol.TimedControl(protocol.linear_ramp(spec), 10.0)
+    psi0 = dynamics.bare_state(spec, 41)
+    frame_pass = dynamics._frame_pass
+    levels = []
+
+    def counting(traj, n_steps, stack, tf_arr, m, saves=None):
+        levels.append(m)
+        return frame_pass(traj, n_steps, stack, tf_arr, m, saves)
+
+    monkeypatch.setattr(dynamics, "_frame_pass", counting)
+    result = dynamics.evolve(control, psi0, n_steps=4000, n_save=2)
+    assert levels == [spec.dim]
+    assert result.frame_levels == spec.dim
+    (final,), leakage = frame_pass(control.trajectory, 4000, psi0[:, None].astype(complex),
+                                   np.array([10.0]), spec.dim)
+    assert np.array_equal(result.final_state, final[0, :, 0])
+    assert result.frame_leakage == leakage
+
+
 def test_ring_duration_sweep_holds_only_the_frame_levels():
     # The fig6a shape: a K = 40 ring at 4000 steps steps in 32 levels,
     # solved one chunk of steps at a time, so no midpoint table is built

@@ -4,6 +4,7 @@ the ring's secular eigensolver."""
 import ctypes
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,17 +55,19 @@ def test_hellmann_feynman_matches_vector_differencing(two_level_spec, cotunnelin
                        (cotunneling_spec, (-30.0, 0.0, 25.0))):
         for lam in lams:
             h = 1e-5 * abs(spec.lambda_start - spec.lambda_end)
-            track = spectral.track_frames(spec, np.array([lam - h, lam, lam + h]))
-            dvec = (track.vectors[2] - track.vectors[0]) / (2 * h)
-            fd = float(track.vectors[1][:, 0] @ dvec[:, 1])
+            grid = np.array([lam - h, lam, lam + h])
+            track = spectral.track_frames(spec, grid)
+            vectors = spectral.frames(spec, grid)[1]
+            dvec = (vectors[2] - vectors[0]) / (2 * h)
+            fd = float(vectors[1][:, 0] @ dvec[:, 1])
             hf = float(track.coupling((1, 2))[1])
             assert abs(fd - hf) <= 1e-3 * abs(hf)
 
 
 def test_track_sign_continuity(cotunneling_spec):
     grid = np.linspace(66.7, -66.7, 401)
-    track = spectral.track_frames(cotunneling_spec, grid)
-    overlaps = np.einsum("kdn,kdn->kn", track.vectors[:-1], track.vectors[1:])
+    vectors = spectral.frames(cotunneling_spec, grid)[1]
+    overlaps = np.einsum("kdn,kdn->kn", vectors[:-1], vectors[1:])
     # Levels 2 and 3 pass through a narrow avoided crossing at Delta = 0
     # where the vectors genuinely rotate ~37 degrees per grid cell; the
     # continuity fix must still keep every overlap clearly positive.
@@ -76,7 +79,8 @@ def test_track_deterministic(two_level_spec):
     grid = np.linspace(66.7, 0.0, 101)
     a = spectral.track_frames(two_level_spec, grid)
     b = spectral.track_frames(two_level_spec, grid)
-    assert np.array_equal(a.vectors, b.vectors)
+    assert np.array_equal(spectral.frames(two_level_spec, grid)[1],
+                          spectral.frames(two_level_spec, grid)[1])
     assert np.array_equal(a.coupling((1, 2)), b.coupling((1, 2)))
 
 
@@ -125,8 +129,10 @@ def test_frames_gauge_is_shared_by_its_callers(ring_spec):
     for n in range(1, 10):
         assert np.array_equal(stack[:, n - 1], spectral.eigenstate(ring_spec, lam, n))
     grid = np.linspace(0.0, math.pi, 21)
-    _, vectors = spectral.frames(ring_spec, grid)
-    assert np.array_equal(vectors, spectral.track_frames(ring_spec, grid).vectors)
+    energies, couplings = _couplings_from_frames(ring_spec, grid, [(1, 2)])
+    track = spectral.track_frames(ring_spec, grid)
+    assert np.array_equal(energies, track.energies)
+    assert np.array_equal(couplings[(1, 2)], track.coupling((1, 2)))
 
 
 def test_frames_rejects_a_scalar_or_empty_control(two_level_spec):
@@ -153,13 +159,25 @@ def _frames_by_loop(spec, lams):
     return energies, vectors
 
 
-@pytest.mark.parametrize("case", ["ring", "cotunneling", "zero-overlap"])
+def _couplings_from_frames(spec, grid, pairs):
+    """Energies and pair couplings from the whole eigenvectors of
+    ``spectral.frames``, by the contraction ``track_frames`` makes."""
+    energies, vectors = spectral.frames(spec, grid)
+    dh = model.d_hamiltonian_d_lambda(spec, grid)
+    return energies, {(i, j): np.einsum("nd,nd->n", vectors[:, :, i - 1] * dh, vectors[:, :, j - 1])
+                      / (energies[:, j - 1] - energies[:, i - 1]) for (i, j) in pairs}
+
+
+@pytest.mark.parametrize("case", ["ring", "cotunneling", "zero-overlap",
+                                  "zero-overlap-at-a-chunk-boundary"])
 def test_frames_gauge_matches_the_sign_fix_loop(monkeypatch, ring_spec, cotunneling_spec, case):
     # The vectorised gauge against the loop, on 2001-point design grids and
     # on a u0 = 0 ring whose levels cross at Omega = pi: there the columns
     # swap, their overlaps are exactly zero and the sign product restarts.
     # The zero-overlap grid gets random column signs from a stand-in eigh,
-    # the same on every call, so that flips accumulate between the zeros.
+    # the same for a control on every call, so that flips accumulate
+    # between the zeros. The last case starts a chunk of ``frames`` right
+    # after a zero overlap.
     if case == "ring":
         spec, lams = ring_spec, np.linspace(0.0, math.pi, 2001)
     elif case == "cotunneling":
@@ -167,21 +185,68 @@ def test_frames_gauge_matches_the_sign_fix_loop(monkeypatch, ring_spec, cotunnel
     else:
         spec, lams = model.ring(u0=0.0, K=3), np.linspace(0.1, 2.0 * math.pi - 0.1, 41)
         solve = spectral.eigh
+        flips = np.random.default_rng(7).choice([-1.0, 1.0], size=(len(lams), spec.dim))
 
-        def scrambled(spec, lams):
-            energies, vectors = solve(spec, lams)
-            flips = np.random.default_rng(7).choice([-1.0, 1.0], size=(len(lams), spec.dim))
-            return energies, vectors * flips[:, None, :]
+        def scrambled(spec, controls):
+            energies, vectors = solve(spec, controls)
+            return energies, vectors * flips[np.searchsorted(lams, controls), None, :]
 
         monkeypatch.setattr(spectral, "eigh", scrambled)
     energies, vectors = _frames_by_loop(spec, lams)
-    if case == "zero-overlap":
+    if case.startswith("zero-overlap"):
         raw = spectral.eigh(spec, lams)[1]
         assert np.any(np.einsum("kij,kij->kj", raw[:-1], raw[1:]) < 0.0)
-        assert np.any(np.einsum("kij,kij->kj", vectors[:-1], vectors[1:]) == 0.0)
+        zero = np.einsum("kij,kij->kj", vectors[:-1], vectors[1:]) == 0.0
+        assert np.any(zero)
+    if case == "zero-overlap-at-a-chunk-boundary":
+        first = int(np.flatnonzero(np.any(zero, axis=1))[0]) + 1
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", first * spec.dim ** 2)
+        assert 0 < first < len(lams) - 1
     got_energies, got_vectors = spectral.frames(spec, lams)
     assert np.array_equal(got_energies, energies)
     assert np.array_equal(got_vectors, vectors)
+
+
+@pytest.mark.parametrize("budget", ["default", "seven-controls"])
+@pytest.mark.parametrize("case", ["ring", "cotunneling"])
+def test_streamed_track_matches_the_whole_frames(monkeypatch, ring_spec, cotunneling_spec,
+                                                 case, budget):
+    # The track solves its grid in chunks and keeps only its pairs'
+    # columns; its energies, gaps and couplings are those of the eigenvectors
+    # of the whole grid solved at once, to the bit, with chunk boundaries
+    # inside the grid or not.
+    if case == "ring":
+        spec, grid, pairs = ring_spec, np.linspace(0.0, math.pi, 2001), [(3, 4), (9, 10)]
+    else:
+        spec, grid, pairs = cotunneling_spec, np.linspace(66.7, -66.7, 2001), [(1, 2), (2, 3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_CHUNK_ENTRIES", len(grid) * spec.dim ** 2)
+        energies, couplings = _couplings_from_frames(spec, grid, pairs)
+    if budget == "seven-controls":
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 7 * spec.dim ** 2)
+    track = spectral.track_frames(spec, grid, pairs=pairs)
+    assert np.array_equal(track.energies, energies)
+    for (i, j) in pairs:
+        assert np.array_equal(track.gap((i, j)), energies[:, j - 1] - energies[:, i - 1])
+        assert np.array_equal(track.coupling((i, j)), couplings[(i, j)])
+
+
+def test_design_track_holds_no_eigenvector_table(ring_spec):
+    # The K = 40 design track of fig6a: whole (2001, 81, 81) frames would
+    # take 105 MB, and the solver's buffers 5 MB more.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        track = protocol.design_track(ring_spec, [(3, 4), (9, 10)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert track.pairs == ((3, 4), (9, 10))
+    assert peak <= 25e6
 
 
 # The ring's secular solver (``spectral.eigh``) against numpy's dense eigh.
