@@ -2,8 +2,8 @@
 
 Subcommands: design, spectrum, evolve, sweep-tf, sweep-eps, and
 figure <preset> for the eight built-in experiment presets. A preset is a
-shared config plus a list of steps, most of them subcommands, run into
-one output directory. A JSON config file provides any subset of the
+shared config plus a list of steps, each a subcommand, run into one
+output directory. A JSON config file provides any subset of the
 options; command-line flags override file values, which override preset
 values. Before any step runs, every key is checked against its one
 declaration in ``_FLAGS``: an unknown key, a value of the wrong type or
@@ -159,6 +159,8 @@ def _check_value(where: str, value, options: dict, allowed) -> None:
             raise ConfigError(f"{where} must be {_TYPES[kind]}, got {item!r}")
         if allowed is not None and not allowed[1](item):
             raise ConfigError(f"{where} must be {allowed[0]}, got {item!r}")
+    if options.get("action") == "append" and len(set(value)) < len(value):
+        raise ConfigError(f"{where} must differ from the others, got {value!r}")
 
 
 def _validate_config(cfg: dict) -> None:
@@ -186,12 +188,14 @@ def _build_spec(mdl: dict) -> _model.ModelSpec:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
-def _build_trajectories(spec, proto: dict, pairs) -> list:
-    """The trajectory of ``proto`` at each level pair in ``pairs``, which a
-    pair given in ``proto`` overrides. The designed kinds diagonalise their
-    grid once for every pair, and that track is dropped on return."""
+def _build_trajectories(spec, cfg: dict, ns=(1,)) -> list:
+    """The trajectory of the protocol section of ``cfg`` at the level pair
+    (N, N + 1) of each N in ``ns``, which a pair given in that section
+    overrides. The designed kinds diagonalise their grid once for every
+    pair, and that track is dropped on return."""
+    proto = cfg.get("protocol", {})
     kind = proto.get("kind", _protocol.FAQUAD)
-    pairs = [tuple(proto.get("pair", pair)) for pair in pairs]
+    pairs = [tuple(proto.get("pair", (N, N + 1))) for N in ns]
     designers = {_protocol.FAQUAD: _protocol.design_faquad,
                  _protocol.LOCAL_ADIABATIC: _protocol.design_local_adiabatic,
                  _protocol.UNIFORM_ADIABATIC: _protocol.design_uniform_adiabatic}
@@ -294,14 +298,21 @@ def _derive_frame(run, result, suffix=""):
 
 
 def _cmd_design(cfg, spec, run):
-    (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
+    """Schedules at (1, 2), or with sweep.N (ring) at (N, N + 1) of each N."""
+    ns = cfg.get("sweep", {}).get("N")
+    if ns is not None:
+        for N, traj in zip(ns, _build_trajectories(spec, cfg, ns)):
+            _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", zip(traj.s_grid, traj.values))
+            if traj.c_tilde is not None:
+                run.derive(f"c_tilde_N{N}", traj.c_tilde)
+        return
+    (traj,) = _build_trajectories(spec, cfg)
     _write_csv(run.path("trajectory.csv"), "s,lambda", zip(traj.s_grid, traj.values))
     run.derive("kind", traj.kind)
     if traj.c_tilde is not None:
         pred = _perturbation.predict(traj)
-        run.derive("c_tilde", pred.c_tilde)
-        run.derive("phi", pred.phi)
-        run.derive("period", pred.period)
+        for key in ("c_tilde", "phi", "period"):
+            run.derive(key, getattr(pred, key))
 
 
 def _cmd_spectrum(cfg, spec, run):
@@ -324,7 +335,7 @@ def _cmd_evolve(cfg, spec, run):
     if "tf" not in sweep:
         raise ConfigError("config.sweep.tf is required for evolve")
     t_f = float(sweep["tf"])
-    (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
+    (traj,) = _build_trajectories(spec, cfg)
     n_save = cfg.get("integrator", {}).get("n_save", 401)
     start = cfg.get("start", _dynamics.GROUND)
 
@@ -349,9 +360,40 @@ def _cmd_evolve(cfg, spec, run):
         run.derive("c_tilde", traj.c_tilde)
 
 
+def _sweep_fillings(cfg, spec, run, tf_grid, ns):
+    """Many-body fidelity against duration for each N in ``ns``, with the linear
+    ramp as reference, in one tg_sweep.csv. A designed kind is swept at (N, N + 1)
+    of each N; the linear ramp and a constant schedule once for all N."""
+    trajs = _build_trajectories(spec, cfg, ns)
+    kind = trajs[0].kind
+    shared = kind in (_protocol.LINEAR, _protocol.CONSTANT)
+    plan = [] if kind == _protocol.LINEAR else [(_protocol.linear_ramp(spec), ns, "")]
+    plan += [(trajs[0], ns, "")] if shared else [(t, [N], f"_N{N}") for N, t in zip(ns, trajs)]
+    curves = {}
+    for traj, fillings, suffix in plan:
+        found = _tg.duration_sweep(fillings, traj, tf_grid, n_steps=_n_steps(cfg),
+                                   workers=run.workers)
+        _derive_frame(run, found[0], f"_{traj.kind.replace('-', '_')}{suffix}")
+        curves.update(((N, traj.kind), curve) for N, curve in zip(fillings, found))
+    rows = []
+    for N, traj in zip(ns, trajs):
+        if traj.c_tilde is not None:
+            run.derive(f"c_tilde_N{N}", traj.c_tilde)
+        for protocol in dict.fromkeys((kind, _protocol.LINEAR)):
+            curve = curves[N, protocol]
+            rows.extend((t, f, N, protocol) for t, f in zip(curve.abscissa, curve.fidelity))
+            run.failures({"N": N, "protocol": protocol, "tf": t, "error": m}
+                         for t, m in curve.failures)
+    _check_some_point_ran([r[1] for r in rows])
+    _write_csv(run.path("tg_sweep.csv"), "tf,fidelity,N,protocol", rows)
+
+
 def _cmd_sweep_tf(cfg, spec, run):
-    tf_grid = _tf_grid(cfg.get("sweep", {}))
-    (traj,) = _build_trajectories(spec, cfg.get("protocol", {}), [(1, 2)])
+    sweep = cfg.get("sweep", {})
+    tf_grid = _tf_grid(sweep)
+    if "N" in sweep:
+        return _sweep_fillings(cfg, spec, run, tf_grid, sweep["N"])
+    (traj,) = _build_trajectories(spec, cfg)
     start = cfg.get("start", _dynamics.GROUND)
     target = cfg.get("target", 1)
     curve = _dynamics.fidelity_sweep(traj, tf_grid, start=start, target=target,
@@ -364,9 +406,8 @@ def _cmd_sweep_tf(cfg, spec, run):
     run.failures({"tf": t, "error": m} for t, m in curve.failures)
     if traj.c_tilde is not None:
         pred = _perturbation.predict(traj)
-        run.derive("c_tilde", pred.c_tilde)
-        run.derive("phi", pred.phi)
-        run.derive("period", pred.period)
+        for key in ("c_tilde", "phi", "period"):
+            run.derive(key, getattr(pred, key))
         rows = zip(curve.tf, _perturbation.predicted_infidelity(pred, curve.tf),
                    pred.envelope(curve.tf))
         _write_csv(run.path("prediction.csv"), "tf,predicted_infidelity,envelope", rows)
@@ -382,9 +423,8 @@ def _cmd_sweep_eps(cfg, spec, run):
     ns = sweep.get("N", (3, 9))
     epsilons = [float(e) for e in sweep.get("epsilons", _tg.DEFAULT_EPSILONS)]
 
-    trajs = _build_trajectories(spec, cfg.get("protocol", {}), [(N, N + 1) for N in ns])
     rows = []
-    for N, traj in zip(ns, trajs):
+    for N, traj in zip(ns, _build_trajectories(spec, cfg, ns)):
         curve = _tg.epsilon_sweep(N, traj, t_f, epsilons, n_steps=_n_steps(cfg),
                                   workers=run.workers)
         rows.extend((e, f, N) for e, f in zip(curve.abscissa, curve.fidelity))
@@ -397,44 +437,6 @@ def _cmd_sweep_eps(cfg, spec, run):
     run.derive("tf", t_f)
 
 
-# fig5b and fig6a have no subcommand that does their job at the same cost,
-# so they run as preset-only steps. Each designs its own FAQUAD schedule at
-# the level pair (N, N + 1) for every N in sweep.N, all from one track.
-def _figure_ring_trajectories(cfg, spec, run):
-    """The FAQUAD schedule of each N, one trajectory_N<N>.csv apiece."""
-    ns = cfg["sweep"]["N"]
-    for N, traj in zip(ns, _build_trajectories(spec, {}, [(N, N + 1) for N in ns])):
-        _write_csv(run.path(f"trajectory_N{N}.csv"), "s,lambda", zip(traj.s_grid, traj.values))
-        run.derive(f"c_tilde_N{N}", traj.c_tilde)
-
-
-def _figure_tg_duration(cfg, spec, run):
-    """Many-body fidelity against duration for each N, FAQUAD and linear,
-    all in one tg_sweep.csv. The linear ramp is the same for every N, so
-    one sweep serves all its fillings."""
-    tf_grid = _tf_grid(cfg["sweep"])
-    ns = cfg["sweep"]["N"]
-    designs = _build_trajectories(spec, {}, [(N, N + 1) for N in ns])
-
-    def sweep(traj, fillings):
-        return _tg.duration_sweep(fillings, traj, tf_grid, n_steps=_n_steps(cfg),
-                                  workers=run.workers)
-
-    linear = dict(zip(ns, sweep(_protocol.linear_ramp(spec), ns)))
-    _derive_frame(run, linear[ns[0]], "_linear")
-    rows = []
-    for N, traj in zip(ns, designs):
-        (faquad,) = sweep(traj, [N])
-        run.derive(f"c_tilde_N{N}", traj.c_tilde)
-        _derive_frame(run, faquad, f"_faquad_N{N}")
-        for kind, curve in (("faquad", faquad), ("linear", linear[N])):
-            rows.extend((t, f, N, kind) for t, f in zip(curve.abscissa, curve.fidelity))
-            run.failures({"N": N, "protocol": kind, "tf": t, "error": m}
-                         for t, m in curve.failures)
-    _check_some_point_ran([r[1] for r in rows])
-    _write_csv(run.path("tg_sweep.csv"), "tf,fidelity,N,protocol", rows)
-
-
 _COMMANDS = {
     "design": _cmd_design,
     "spectrum": _cmd_spectrum,
@@ -442,22 +444,17 @@ _COMMANDS = {
     "sweep-tf": _cmd_sweep_tf,
     "sweep-eps": _cmd_sweep_eps,
 }
-_STEPS = dict(_COMMANDS, **{"ring-trajectories": _figure_ring_trajectories,
-                            "tg-duration": _figure_tg_duration})
 
 # The config keys each step reads besides the model, which every step reads,
 # as "section.key" or a top-level key. Every step writes into output_dir.
 _READS_PROTOCOL = {name for name in _DECLARED if name.startswith("protocol.")}
 _READS = {step: {"output_dir"} | keys for step, keys in {
-    "design": _READS_PROTOCOL,
+    "design": _READS_PROTOCOL | {"sweep.N"},
     "spectrum": {"levels", "points"},
     "evolve": _READS_PROTOCOL | {"sweep.tf", "integrator.n_steps", "integrator.n_save", "start"},
     "sweep-tf": _READS_PROTOCOL | {"sweep.tf_min", "sweep.tf_max", "sweep.tf_count",
-                                   "integrator.n_steps", "start", "target"},
+                                   "sweep.N", "integrator.n_steps", "start", "target"},
     "sweep-eps": _READS_PROTOCOL | {"sweep.tf", "sweep.N", "sweep.epsilons", "integrator.n_steps"},
-    "ring-trajectories": {"sweep.N"},
-    "tg-duration": {"sweep.tf_min", "sweep.tf_max", "sweep.tf_count", "sweep.N",
-                    "integrator.n_steps"},
 }.items()}
 
 
@@ -465,11 +462,10 @@ def builtin_figures() -> dict:
     """The eight built-in experiment presets, keyed by figure tag.
 
     A preset is the config its steps share plus ``steps``, a list of
-    (command, overrides, tag). Each step runs ``command`` on the shared
-    config with ``overrides`` laid over it, section by section, and
-    appends ``_<tag>`` to the stems of its files and to its derived keys
-    (a tag of None appends nothing). No shared config holds a key that
-    one of its steps sets.
+    (command, overrides, tag). Each step runs the subcommand ``command`` on
+    the shared config with ``overrides`` laid over it, section by section,
+    and appends ``_<tag>`` to its file stems and derived keys (a tag of
+    None appends nothing). No shared config holds a key that a step sets.
     """
     two_level = {"kind": "two-level", "U": 22.3, "J": 1.0,
                  "lambda_start": 66.7, "lambda_end": 0.0}
@@ -518,13 +514,13 @@ def builtin_figures() -> dict:
         "fig5b": {
             "model": dict(ring_dyn),
             "sweep": {"N": [1, 3, 5, 7, 9]},
-            "steps": [("ring-trajectories", {}, None)],
+            "steps": [("design", {"protocol": {"kind": "faquad"}}, None)],
         },
         "fig6a": {
             "model": dict(ring_dyn),
             "sweep": {"tf_min": 5.0, "tf_max": 120.0, "tf_count": 40, "N": [3, 9]},
             "integrator": {"n_steps": 4000},
-            "steps": [("tg-duration", {}, None)],
+            "steps": [("sweep-tf", {"protocol": {"kind": "faquad"}}, None)],
         },
         "fig6b": {
             "model": dict(ring_dyn),
@@ -567,7 +563,10 @@ def _step_config(cfg: dict, overrides: dict):
     sweep = step_cfg.get("sweep", {})
     if "tf_min" in sweep and "tf_max" in sweep and sweep["tf_min"] >= sweep["tf_max"]:
         raise ConfigError("config.sweep.tf_min must be < config.sweep.tf_max")
-    if spec.kind == _model.RING and max(sweep.get("N", [1])) > 2 * spec.params.K - 1:
+    if "N" in sweep and (spec.kind != _model.RING or {"start", "target"} & set(step_cfg)):
+        raise ConfigError("config.sweep.N takes the ring model and neither config.start nor "
+                          "config.target: a many-body sweep runs from ground to ground state")
+    if "N" in sweep and max(sweep["N"]) > 2 * spec.params.K - 1:
         raise ConfigError(f"each element of config.sweep.N must be <= 2K - 1 = "
                           f"{2 * spec.params.K - 1}, got {sweep['N']}")
     for key in ("start", "target", "levels"):
@@ -592,7 +591,7 @@ def run_steps(command: str, cfg: dict, steps) -> int:
     run.manifest["steps"] = steps
     for name, step_cfg, spec, tag in configs:
         run.tag = tag
-        _STEPS[name](step_cfg, spec, run)
+        _COMMANDS[name](step_cfg, spec, run)
     return run.finish()
 
 

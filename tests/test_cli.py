@@ -15,6 +15,10 @@ from faquad import cli, dynamics
 
 TWO_LEVEL_FLAGS = ["--model", "two-level", "--U", "22.3",
                    "--lambda-start", "66.7", "--lambda-end", "0"]
+# A many-body duration sweep of a designed kind that no preset runs.
+RING_LA_SWEEP = ["sweep-tf", "--model", "ring", "--u0", "0.5", "--K", "20", "--N", "3",
+                 "--N", "9", "--protocol", "local-adiabatic", "--tf-min", "5", "--tf-max", "120",
+                 "--n-steps", "400", "--tf-count", "2"]
 
 
 def _read_csv(path):
@@ -163,7 +167,8 @@ def test_sweep_tf_outputs(tmp_path):
       "--tf-min", "2", "--tf-max", "10", "--tf-count", "2", "--n-steps", "400"], [""]),
     (["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2"],
      ["_linear", "_faquad_N3", "_faquad_N9"]),
-], ids=["sweep-tf", "fig6a"])
+    (RING_LA_SWEEP, ["_linear", "_local_adiabatic_N3", "_local_adiabatic_N9"]),
+], ids=["sweep-tf", "fig6a", "sweep-tf-N"])
 def test_ring_duration_sweeps_report_their_frame(tmp_path, args, tags):
     # Each sweep's adiabatic levels and leakage, so that a reader can judge
     # the truncation from the manifest.
@@ -304,7 +309,9 @@ def test_a_key_no_step_reads_is_rejected(tmp_path, capsys, args, key):
     ["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2"],
     ["sweep-eps", "--model", "ring", "--u0", "0.5", "--K", "20", "--N", "3", "--N", "9",
      "--tf", "10", "--eps", "0", "--n-steps", "400"],
-], ids=["fig5b", "fig6a", "sweep-eps"])
+    ["design", "--model", "ring", "--u0", "0.5", "--K", "20", "--N", "1", "--N", "3"],
+    RING_LA_SWEEP,
+], ids=["fig5b", "fig6a", "sweep-eps", "design-N", "sweep-tf-N"])
 def test_ring_designs_share_one_track(tmp_path, monkeypatch, args):
     from faquad import protocol, spectral
     grids = []
@@ -322,6 +329,41 @@ def test_ring_designs_share_one_track(tmp_path, monkeypatch, args):
 
 
 RING_FLAGS = ["--model", "ring", "--u0", "0.5", "--K", "20"]
+
+
+def test_ring_sweep_tf_over_fillings_matches_the_library(tmp_path):
+    # tg_sweep.csv holds, per N, the designed kind's curve at (N, N + 1) and
+    # the linear ramp's, one sweep of the N = 9 stack serving both N.
+    from faquad import model, protocol, tg
+    out = tmp_path / "o"
+    assert cli.main(RING_LA_SWEEP + ["--out", str(out)]) == 0
+    spec = model.ring(u0=0.5, K=20)
+    track = protocol.design_track(spec, [(3, 4), (9, 10)])
+    tf = np.linspace(5.0, 120.0, 2)
+    linear = tg.duration_sweep([3, 9], protocol.linear_ramp(spec), tf, n_steps=400)
+    expected, c_tilde = [], {}
+    for N, reference in zip((3, 9), linear):
+        traj = protocol.design_local_adiabatic(spec, pair=(N, N + 1), track=track)
+        (curve,) = tg.duration_sweep([N], traj, tf, n_steps=400)
+        c_tilde[f"c_tilde_N{N}"] = traj.c_tilde
+        for kind, c in (("local-adiabatic", curve), ("linear", reference)):
+            expected.extend([format(t, ".12g"), format(f, ".12g"), str(N), kind]
+                            for t, f in zip(c.abscissa, c.fidelity))
+    header, rows = _read_csv(out / "tg_sweep.csv")
+    assert header == "tf,fidelity,N,protocol"
+    assert rows == expected
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["tg_sweep.csv"]
+    assert {k: manifest["derived"][k] for k in c_tilde} == c_tilde
+
+
+def test_ring_sweep_tf_without_fillings_stays_single_particle(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["sweep-tf", *RING_FLAGS, "--protocol", "faquad", "--tf-min", "2",
+                     "--tf-max", "10", "--tf-count", "2", "--n-steps", "400",
+                     "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"sweep.csv", "prediction.csv", "manifest.json"}
+    assert _read_csv(out / "sweep.csv")[0] == "tf,population"
 
 
 def test_only_spectral_builds_and_diagonalises_a_hamiltonian(tmp_path, monkeypatch):
@@ -397,8 +439,20 @@ def test_import_loads_only_scipy_linalg():
      "config.target"),
     (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5", "--tf-max", "1", "--start", "0"],
      "config.start"),
+    (["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2", "--N", "3",
+      "--N", "3"], "config.sweep.N"),
+    (["sweep-eps", *RING_FLAGS, "--N", "3", "--tf", "10", "--eps", "0", "--eps", "0"],
+     "config.sweep.epsilons"),
+    (["design", *TWO_LEVEL_FLAGS, "--N", "3"], "config.sweep.N"),
+    (["sweep-tf", *TWO_LEVEL_FLAGS, "--tf-min", "0.5", "--tf-max", "1", "--N", "3"],
+     "config.sweep.N"),
+    (["figure", "fig6a", "--K", "20", "--tf-count", "2", "--start", "ground"], "config.start"),
+    (["sweep-tf", *RING_FLAGS, "--tf-min", "1", "--tf-max", "2", "--N", "3", "--target", "1"],
+     "config.target"),
 ], ids=["sweep-eps-even-N", "fig6a-even-N", "N-above-2K-1", "tf", "eps", "n-steps",
-        "tf-order", "n-save", "points", "levels", "target", "start"])
+        "tf-order", "n-save", "points", "levels", "target", "start", "repeated-N",
+        "repeated-eps", "design-N-two-level", "sweep-tf-N-two-level", "start-with-N",
+        "target-with-N"])
 def test_out_of_range_value_is_rejected_before_any_step(tmp_path, monkeypatch, capsys, args, key):
     from faquad import spectral
     calls = []
@@ -512,6 +566,7 @@ def test_preset_steps_set_no_key_of_their_shared_config():
         steps = preset.pop("steps")
         cli._validate_config(preset)
         for command, overrides, tag in steps:
+            assert command in cli._COMMANDS, (name, command)
             for section, values in overrides.items():
                 assert not set(values) & set(preset.get(section, {})), (name, section)
             cli._validate_config(cli._overlay(preset, overrides))
@@ -523,8 +578,9 @@ def test_figure_rejects_a_key_its_steps_set(tmp_path, capsys):
     assert "config.protocol.kind" in capsys.readouterr().err
     assert cli.main(["figure", "fig5a", "--u0", "1", "--out", str(tmp_path / "b")]) == 2
     assert "config.model.u0" in capsys.readouterr().err
-    assert cli.main(["figure", "fig6a", "--grid-points", "501",
+    assert cli.main(["figure", "fig6a", "--protocol", "linear",
                      "--out", str(tmp_path / "c")]) == 2
+    assert "config.protocol.kind" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
