@@ -19,6 +19,7 @@ identical configuration reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import numbers
@@ -39,7 +40,7 @@ from .errors import ConfigError, FaquadError
 
 # The library function that builds each model kind, and the argument each
 # key of the model section passes to it. A key not given takes the
-# library's default.
+# library's default; one whose argument has none is required.
 _BIAS_ARGS = {"U": "U", "J": "J", "lambda_start": "delta_start", "lambda_end": "delta_end"}
 _MODEL_ARGS = {
     "two-level": (_model.two_level, _BIAS_ARGS),
@@ -180,6 +181,11 @@ def _validate_config(cfg: dict) -> None:
 
 def _build_spec(mdl: dict) -> _model.ModelSpec:
     build, names = _MODEL_ARGS[mdl["kind"]]
+    parameters = inspect.signature(build).parameters
+    missing = [f"config.model.{key}" for key, arg in names.items()
+               if key not in mdl and parameters[arg].default is inspect.Parameter.empty]
+    if missing:
+        raise ConfigError(f"model kind {mdl['kind']} requires {' and '.join(missing)}")
     args = {names[key]: _DECLARED[f"model.{key}"][0]["type"](value)
             for key, value in mdl.items() if key != "kind"}
     try:
@@ -340,7 +346,7 @@ def _cmd_evolve(cfg, spec, run):
     start = cfg.get("start", _dynamics.GROUND)
 
     control = _protocol.rescale(traj, t_f)
-    psi0 = _dynamics._start_vector(traj, start)
+    psi0 = _dynamics._level_vector(traj, start, 0.0)
     result = _dynamics.evolve(control, psi0.astype(complex), n_steps=_n_steps(cfg),
                               n_save=n_save)
     proj = _dynamics.adiabatic_projection(result)
@@ -454,7 +460,9 @@ _READS = {step: {"output_dir"} | keys for step, keys in {
     "evolve": _READS_PROTOCOL | {"sweep.tf", "integrator.n_steps", "integrator.n_save", "start"},
     "sweep-tf": _READS_PROTOCOL | {"sweep.tf_min", "sweep.tf_max", "sweep.tf_count",
                                    "sweep.N", "integrator.n_steps", "start", "target"},
-    "sweep-eps": _READS_PROTOCOL | {"sweep.tf", "sweep.N", "sweep.epsilons", "integrator.n_steps"},
+    # Every filling of sweep-eps is designed at its own pair (N, N + 1).
+    "sweep-eps": (_READS_PROTOCOL - {"protocol.pair"}) | {"sweep.tf", "sweep.N", "sweep.epsilons",
+                                                           "integrator.n_steps"},
 }.items()}
 
 
@@ -563,9 +571,11 @@ def _step_config(cfg: dict, overrides: dict):
     sweep = step_cfg.get("sweep", {})
     if "tf_min" in sweep and "tf_max" in sweep and sweep["tf_min"] >= sweep["tf_max"]:
         raise ConfigError("config.sweep.tf_min must be < config.sweep.tf_max")
-    if "N" in sweep and (spec.kind != _model.RING or {"start", "target"} & set(step_cfg)):
-        raise ConfigError("config.sweep.N takes the ring model and neither config.start nor "
-                          "config.target: a many-body sweep runs from ground to ground state")
+    if "N" in sweep and (spec.kind != _model.RING or {"start", "target"} & set(step_cfg)
+                         or "pair" in step_cfg.get("protocol", {})):
+        raise ConfigError("config.sweep.N takes the ring model and none of config.start, "
+                          "config.target and config.protocol.pair: each filling N runs from "
+                          "ground to ground state at its own pair (N, N + 1)")
     if "N" in sweep and max(sweep["N"]) > 2 * spec.params.K - 1:
         raise ConfigError(f"each element of config.sweep.N must be <= 2K - 1 = "
                           f"{2 * spec.params.K - 1}, got {sweep['N']}")

@@ -318,17 +318,12 @@ def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
                            n_steps=n_steps, frame_levels=levels, frame_leakage=leakage)
 
 
-def _start_vector(traj, start):
-    if start == GROUND:
-        return _spectral.eigenstate(traj.spec, float(traj.evaluate(0.0)), 1)
-    return bare_state(traj.spec, int(start))
-
-
-def _population_of(traj, target, psi):
-    if target == GROUND:
-        phi = _spectral.eigenstate(traj.spec, float(traj.evaluate(1.0)), 1)
-        return float(np.abs(np.vdot(phi, psi)) ** 2)
-    return float(np.abs(psi[int(target) - 1]) ** 2)
+def _level_vector(traj, level, s):
+    """The 1-based bare state ``level``, or for "ground" the instantaneous
+    ground state at normalized time ``s`` of ``traj``."""
+    if level == GROUND:
+        return _spectral.eigenstate(traj.spec, float(traj.evaluate(s)), 1)
+    return bare_state(traj.spec, int(level))
 
 
 def _padded(a: np.ndarray, shape) -> np.ndarray:
@@ -522,12 +517,11 @@ def fidelity_sweep(traj: _protocol.NormalizedTrajectory, tf_list, start=GROUND,
     Per-point numerical failures are collected, not fatal.
     """
     tf_arr = _durations(tf_list)
-    psi0 = _start_vector(traj, start).astype(complex)
-    if target != GROUND:
-        bare_state(traj.spec, int(target))
+    psi0 = _level_vector(traj, start, 0.0).astype(complex)
+    phi = _level_vector(traj, target, 1.0)
     n_steps, final, (levels, leakage) = _final_states(traj, psi0, tf_arr, n_steps)
     population, failures = _sweep(
-        tf_arr, lambda t_f: _population_of(traj, target, final(t_f)), workers)
+        tf_arr, lambda t_f: float(np.abs(np.vdot(phi, final(t_f))) ** 2), workers)
     return SweepCurve(tf=tf_arr, population=population, failures=failures, n_steps=n_steps,
                       frame_levels=levels, frame_leakage=leakage)
 

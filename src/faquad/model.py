@@ -10,10 +10,10 @@ Three models are provided, all real symmetric in their natural bases:
   u0 and a stirring control Omega, expanded over plane waves k = -K..K.
   Energies are reported in units of E0 = 2 pi^2 hbar^2 / (M L^2). The
   plane waves |k| > K are downfolded into a rank-one barrier term (see
-  ``ring_barrier``), so the truncated spectrum converges like K^-3
+  ``ring_barrier_factor``), so the truncated spectrum converges like K^-3
   instead of the 1/K of a plain cut. Every ring Hamiltonian is thus a
-  diagonal plus the rank-one term of ``ring_barrier_factor``, the form
-  that ``spectral.eigh`` diagonalises by its secular equation.
+  diagonal plus that rank-one term, the form that ``spectral.eigh``
+  diagonalises by its secular equation.
 
 Each model also exposes its analytic control derivative dH/dlambda. It is
 diagonal for every model, and is returned as that diagonal. The ring
@@ -166,7 +166,8 @@ def hamiltonian(spec: ModelSpec, lam) -> np.ndarray:
     diag = np.arange(spec.dim)
     if spec.kind == RING:
         k = np.arange(-p.K, p.K + 1, dtype=float)
-        H = np.broadcast_to(ring_barrier(p), lam.shape + (spec.dim, spec.dim)).copy()
+        gamma, v = ring_barrier_factor(p)
+        H = np.broadcast_to(gamma * np.outer(v, v), lam.shape + (spec.dim, spec.dim)).copy()
         H[..., diag, diag] += (k - lam[..., None] / (2.0 * math.pi)) ** 2
         return H
     h = -SQRT2 * p.J
@@ -242,17 +243,6 @@ def ring_barrier_factor(params: RingParams) -> tuple[float, np.ndarray]:
     v = np.sqrt(1.0 + 2.0 * beta * k * k)
     v.setflags(write=False)
     return gamma, v
-
-
-@functools.lru_cache(maxsize=16)
-def ring_barrier(params: RingParams) -> np.ndarray:
-    """Delta-barrier part of the ring Hamiltonian, the matrix gamma v v^T
-    of ``ring_barrier_factor``. It is cached per parameter set and
-    returned read-only."""
-    gamma, v = ring_barrier_factor(params)
-    barrier = gamma * np.outer(v, v)
-    barrier.setflags(write=False)
-    return barrier
 
 
 def d_hamiltonian_d_lambda(spec: ModelSpec, lam) -> np.ndarray:

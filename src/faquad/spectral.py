@@ -5,13 +5,12 @@ real and made continuous along a grid by fixing the sign of each column
 against the previous grid point. ``eigh`` is the one eigensolver, and
 this the one module that assembles H: the midpoint tables and step rule
 of ``dynamics``, ``frames``, the gap integral of ``perturbation`` and the
-``spectrum`` subcommand read their energies from it. One private routine,
-``_gauged_frames``, applies the sign gauge: it solves a grid one chunk of
-controls at a time and carries the gauge across the chunks. ``frames``
-is that routine with every eigenvector column, and single eigenstates,
-the orbital stacks of ``tg`` and the adiabatic projection of ``dynamics``
-read their eigenvectors from it; ``track_frames`` is that routine with
-the columns of its level pairs only, so a design track holds no
+``spectrum`` subcommand read their energies from it. ``frames`` is the
+one routine that applies the sign gauge: it solves a grid one chunk of
+controls at a time and carries the gauge across the chunks. Single
+eigenstates, the orbital stacks of ``tg`` and the adiabatic projection of
+``dynamics`` read every eigenvector column from it; ``track_frames``
+keeps the columns of its level pairs only, so a design track holds no
 eigenvector table. Level couplings are computed with the off-diagonal
 Hellmann-Feynman identity
 
@@ -241,15 +240,17 @@ def _sign_gauge(vectors: np.ndarray) -> None:
     vectors *= signs[:, None, :]
 
 
-def _gauged_frames(spec, lams, columns=None):
-    """Energies (n, dim) and the eigenvector columns ``columns`` (0-based
-    levels, all of them when None) of H at each control of the 1-d array
-    ``lams``, in the gauge of ``frames``. ``eigh`` solves at most
-    _CHUNK_ENTRIES eigenvector entries at a time and only the chosen
-    columns are kept; each chunk after the first is sign-fixed against the
-    previous chunk's last gauged row, so the chunks give the gauge of one
-    solve of the whole grid. A grid that fits in one chunk returns the
-    arrays of its one ``eigh`` call."""
+def frames(spec: _model.ModelSpec, lams, columns=None):
+    """Energies (n, dim) and eigenvector columns (n, dim, m) of H at each
+    control of the 1-d array ``lams``, from ``eigh``, in the package's sign
+    gauge: the columns at the first control follow ``gauge_fix_columns``,
+    and each later column has a nonnegative overlap with the one before
+    it (``sign_fix`` against the column before). The m columns kept are
+    the 0-based levels ``columns``, or all dim of them when None.
+    ``eigh`` solves at most _CHUNK_ENTRIES eigenvector entries at a time;
+    each chunk after the first is sign-fixed against the previous chunk's
+    last gauged row, so the chunks give the gauge of one solve of the
+    whole grid."""
     lams = _model._controls(lams)
     if lams.ndim != 1 or len(lams) == 0:
         raise ValueError("controls must be a non-empty 1-d array")
@@ -265,25 +266,12 @@ def _gauged_frames(spec, lams, columns=None):
             chunk = np.take(chunk, columns, axis=2)
         if lo == 0:
             chunk[0] = gauge_fix_columns(chunk[0])
-            if hi == n:
-                _sign_gauge(chunk)
-                return chunk_energies, chunk
             energies = np.empty((n, dim))
             vectors = np.empty((n,) + chunk.shape[1:])
         energies[lo:hi], vectors[lo:hi] = chunk_energies, chunk
         # Row lo - 1 is gauged already and carries the gauge into the chunk.
         _sign_gauge(vectors[max(lo - 1, 0) : hi])
     return energies, vectors
-
-
-def frames(spec: _model.ModelSpec, lams):
-    """Energies (n, dim) and eigenvector columns (n, dim, dim) of H at each
-    control of the 1-d array ``lams``, from ``eigh``, in the package's sign
-    gauge: the columns at the first control follow ``gauge_fix_columns``,
-    and each later column has a nonnegative overlap with the one before
-    it (``sign_fix`` against the column before). A long grid is solved in
-    chunks (``_gauged_frames``)."""
-    return _gauged_frames(spec, lams)
 
 
 def eigenstate(spec: _model.ModelSpec, lam: float, level: int = 1) -> np.ndarray:
@@ -296,7 +284,7 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     """Diagonalize along ``grid`` with continuity sign-fixing and compute
     the requested pair couplings. The grid is solved in chunks and only the
     eigenvector columns of the levels in ``pairs`` are kept, in the gauge
-    of ``frames`` (``_gauged_frames``).
+    of ``frames``.
 
     Parameters
     ----------
@@ -324,7 +312,7 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     pairs = tuple(dict.fromkeys(_canonical_pair(p, spec.dim) for p in pairs))
     levels = sorted({level for pair in pairs for level in pair})
     column = {level: n for n, level in enumerate(levels)}
-    energies, vectors = _gauged_frames(spec, grid, [level - 1 for level in levels])
+    energies, vectors = frames(spec, grid, [level - 1 for level in levels])
     # dH/dlambda is diagonal, so the coupling numerator is an O(dim)
     # contraction per grid point.
     dh = _model.d_hamiltonian_d_lambda(spec, grid)

@@ -111,7 +111,9 @@ def epsilon_sweep(N: int, traj: _protocol.NormalizedTrajectory, t_f: float,
     control for eps != 0, while the reference state stays the ground
     state at the nominal final control. eps = -1 freezes the control at
     zero; an empty list and values below -1 or not finite are rejected.
-    ``frame_levels`` and ``frame_leakage`` are the largest over the points.
+    Each point's final stack comes from ``dynamics._final_states``, whose
+    frame pass gives ``frame_levels`` and ``frame_leakage``: the largest
+    over the points, or None where every point took the tree product.
     """
     if not (np.isfinite(t_f) and t_f > 0):
         raise ValueError("t_f must be positive and finite")
@@ -127,16 +129,17 @@ def epsilon_sweep(N: int, traj: _protocol.NormalizedTrajectory, t_f: float,
     start = stack_at(spec, spec.lambda_start, N)
     target = stack_at(spec, spec.lambda_end, N)
 
+    tf_arr = np.array([float(t_f)])
     frames = []
 
     def fidelity_at(eps):
-        control = _protocol.rescale(traj.scaled(1.0 + float(eps)), float(t_f))
-        result = _dynamics.evolve(control, start, n_steps=n_steps, n_save=2)
-        frames.append((result.frame_levels, result.frame_leakage))
-        return tg_fidelity(result.final_state, target)
+        _, final, frame = _dynamics._final_states(traj.scaled(1.0 + float(eps)), start,
+                                                  tf_arr, n_steps)
+        frames.append(frame)
+        return tg_fidelity(final(tf_arr[0]), target)
 
     fidelity, failures = _dynamics._sweep(eps_arr, fidelity_at, workers)
     return ManyBodyFidelityCurve(abscissa=eps_arr, fidelity=fidelity, N=N,
                                  protocol=traj.kind, label="epsilon", failures=failures,
-                                 frame_levels=max((f[0] for f in frames), default=None),
-                                 frame_leakage=max((f[1] for f in frames), default=None))
+                                 frame_levels=max((f[0] for f in frames if f[0]), default=None),
+                                 frame_leakage=max((f[1] for f in frames if f[0]), default=None))

@@ -15,6 +15,7 @@ from faquad import cli, dynamics
 
 TWO_LEVEL_FLAGS = ["--model", "two-level", "--U", "22.3",
                    "--lambda-start", "66.7", "--lambda-end", "0"]
+RING_FLAGS = ["--model", "ring", "--u0", "0.5", "--K", "20"]
 # A many-body duration sweep of a designed kind that no preset runs.
 RING_LA_SWEEP = ["sweep-tf", "--model", "ring", "--u0", "0.5", "--K", "20", "--N", "3",
                  "--N", "9", "--protocol", "local-adiabatic", "--tf-min", "5", "--tf-max", "120",
@@ -297,6 +298,8 @@ def test_wrong_typed_config_value_is_rejected(tmp_path, capsys, command, section
     (["figure", "fig6b", "--tf-min", "1"], "config.sweep.tf_min"),
     (["figure", "fig5b", "--n-steps", "400"], "config.integrator.n_steps"),
     (["design", *TWO_LEVEL_FLAGS, "--tf", "3"], "config.sweep.tf"),
+    (["sweep-eps", *RING_FLAGS, "--tf", "10", "--eps", "0", "--pair", "1", "2"],
+     "config.protocol.pair"),
 ])
 def test_a_key_no_step_reads_is_rejected(tmp_path, capsys, args, key):
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
@@ -326,9 +329,6 @@ def test_ring_designs_share_one_track(tmp_path, monkeypatch, args):
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
     n_pairs = 5 if args[1] == "fig5b" else 2
     assert grids == [n_pairs]
-
-
-RING_FLAGS = ["--model", "ring", "--u0", "0.5", "--K", "20"]
 
 
 def test_ring_sweep_tf_over_fillings_matches_the_library(tmp_path):
@@ -449,10 +449,19 @@ def test_import_loads_only_scipy_linalg():
     (["figure", "fig6a", "--K", "20", "--tf-count", "2", "--start", "ground"], "config.start"),
     (["sweep-tf", *RING_FLAGS, "--tf-min", "1", "--tf-max", "2", "--N", "3", "--target", "1"],
      "config.target"),
+    (["design", *RING_FLAGS, "--N", "3", "--N", "9", "--pair", "1", "2"],
+     "config.protocol.pair"),
+    (["sweep-tf", *RING_FLAGS, "--tf-min", "1", "--tf-max", "2", "--N", "3", "--pair", "1", "2"],
+     "config.protocol.pair"),
+    (["design", "--model", "ring", "--K", "20", "--N", "1"], "config.model.u0"),
+    (["design", "--model", "two-level", "--U", "22.3"], "config.model.lambda_start"),
+    (["design", "--model", "two-level", "--lambda-start", "1", "--lambda-end", "0"],
+     "config.model.U"),
 ], ids=["sweep-eps-even-N", "fig6a-even-N", "N-above-2K-1", "tf", "eps", "n-steps",
         "tf-order", "n-save", "points", "levels", "target", "start", "repeated-N",
         "repeated-eps", "design-N-two-level", "sweep-tf-N-two-level", "start-with-N",
-        "target-with-N"])
+        "target-with-N", "design-N-pair", "sweep-tf-N-pair", "ring-without-u0",
+        "two-level-without-lambdas", "two-level-without-U"])
 def test_out_of_range_value_is_rejected_before_any_step(tmp_path, monkeypatch, capsys, args, key):
     from faquad import spectral
     calls = []

@@ -324,7 +324,7 @@ def _ring_epsilon_sweep(traj, points):
 @pytest.mark.parametrize("sweep,ring,patched,points", [
     (_two_level_sweep, False, "_total_propagator", [0.5, 1.0, 1.5]),
     (_ring_duration_sweep, True, "_check_norm", [2.0, 4.0, 6.0]),
-    (_ring_epsilon_sweep, True, "evolve", [-0.05, 0.0, 0.05]),
+    (_ring_epsilon_sweep, True, "_final_states", [-0.05, 0.0, 0.05]),
 ])
 def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_faquad,
                                              sweep, ring, patched, points):
@@ -356,7 +356,8 @@ def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_faquad,
 @pytest.mark.parametrize("K", [2, 3])
 def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
     # d = 5 and 7: the tree path forms every final state, and agrees with
-    # evolve, a frame pass at M = dim.
+    # evolve, a frame pass at M = dim. An epsilon sweep takes it too, and
+    # reports no frame.
     spec = model.ring(u0=0.5, K=K)
     assert spec.dim <= dynamics.TREE_PRODUCT_MAX_DIM
     traj = protocol.linear_ramp(spec)
@@ -369,9 +370,25 @@ def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
     assert frame == (None, None)
     tree = [final(t_f) for t_f in tf_list]
     assert calls == []
+    curve = tg.epsilon_sweep(3, traj, 5.0, epsilons=[-0.05, 0.05], n_steps=400)
+    assert calls == []
+    assert curve.frame_levels is None and curve.frame_leakage is None
+    assert curve.failures == [] and np.all(np.isfinite(curve.fidelity))
     for t_f, state in zip(tf_list, tree):
         streamed = evolve(protocol.rescale(traj, t_f), psi0, n_steps=4000, n_save=2)
         assert np.max(np.abs(state - streamed.final_state)) <= 1e-12
+
+
+def test_a_ground_target_is_solved_once(monkeypatch, two_level_faquad):
+    # One eigenstate for the start and one for the target, whatever the
+    # number of durations.
+    eigenstate = spectral.eigenstate
+    calls = []
+    monkeypatch.setattr(spectral, "eigenstate",
+                        lambda *a, **k: calls.append(a) or eigenstate(*a, **k))
+    curve = dynamics.fidelity_sweep(two_level_faquad, [0.5, 1.0, 1.5, 2.0], target="ground",
+                                    n_steps=2048)
+    assert len(calls) == 2 and np.all(np.isfinite(curve.population))
 
 
 # The untruncated frame pass and stepping in the bare basis round

@@ -59,7 +59,7 @@ def test_prediction_tracks_projection(two_level_faquad):
     pred = perturbation.predict(two_level_faquad)
     t_f = 2.5 * pred.period
     control = protocol.rescale(two_level_faquad, t_f)
-    psi0 = dynamics._start_vector(two_level_faquad, "ground").astype(complex)
+    psi0 = dynamics._level_vector(two_level_faquad, "ground", 0.0).astype(complex)
     result = dynamics.evolve(control, psi0, n_steps=8192)
     proj = dynamics.adiabatic_projection(result)
     measured = float(np.abs(proj.g[-1, 1]) ** 2)
