@@ -38,11 +38,13 @@ psi = V_k[:, :M] c, a step is
 
 one real (M, M) product shared by all durations of a sweep, then the
 phases P_k of each duration; a state is V_k[:, :M] c at the steps asked
-for and at the last. The eigenvectors are solved one chunk of steps at a
-time and only their lowest M columns are kept, so no eigenvector table is
-held. The leakage, 1 minus the smallest squared column norm of c in its
-lowest M - FRAME_GUARD levels, is measured at the end: M starts at
-FRAME_LEVELS and doubles while the leakage exceeds LEAKAGE_LIMIT, up to
+for and at the last. The eigenvectors come from the chunk stream of
+``spectral`` one chunk of steps at a time, and only their lowest M
+columns are kept, so no eigenvector table is held; for a ring pass on
+the main thread, its two solver threads solve the next chunks while that
+thread steps this one. The leakage, 1 minus the smallest squared column
+norm of c in its lowest M - FRAME_GUARD levels, is measured at the end:
+M starts at FRAME_LEVELS and doubles while the leakage exceeds LEAKAGE_LIMIT, up to
 M = dim, the exact untruncated case; an M that the start's projection on
 the first step's frame already rules out is skipped. Truncation moves ring fidelities at
 the 1e-10 level against stepping in the bare basis. A small-model sweep
@@ -342,9 +344,11 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
     n_steps, which alone it holds by default. leakage is 1 minus the
     smallest squared column norm left after the last step in the lowest
     ``levels`` - FRAME_GUARD levels (all of them when ``levels`` is dim).
-    The eigenvectors come from ``spectral.eigh`` one chunk of steps at a
-    time, and only the chunk's lowest ``levels`` of them are kept, with the
-    previous chunk's last frame for the overlap across the boundary."""
+    The eigenvectors come one chunk of steps at a time from
+    ``spectral._solved``, which keeps only their lowest ``levels`` columns
+    and, for a ring pass on the main thread, solves the next chunks on its
+    solver threads while this one steps; the previous chunk's last frame gives the overlap across the
+    boundary."""
     spec = traj.spec
     lams = _midpoint_controls(traj, n_steps)
     saves = [n_steps] if saves is None else list(saves)
@@ -365,15 +369,15 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
     states = np.empty((len(saves), len(dts), m, dim), dtype=complex)
     pos = 0
     # Steps per chunk: its overlaps and its four phase arrays stay within
-    # _FRAME_CHUNK_ENTRIES. The chunk's solved eigenvectors add span x dim^2
-    # entries while it is copied (12 MB for one duration at K = 40, M = 32).
+    # _FRAME_CHUNK_ENTRIES, and ``_solved`` caps it at the steps whose
+    # eigenvectors fit in spectral._CHUNK_ENTRIES (39 at K = 40).
     span = max(1, min(_CHUNK, _FRAME_CHUNK_ENTRIES // (width * (width + 4 * len(dts)))))
-    # frames[i] holds V_{lo-1+i}[:, :M] while the chunk from step lo runs.
-    frames = np.empty((span + 1, dim, levels))
-    for lo in range(0, n_steps, span):
-        hi = min(lo + span, n_steps)
-        energies, vectors = _spectral.eigh(spec, lams[lo:hi])
-        frames[1 : hi - lo + 1] = vectors[:, :, :levels]
+    for lo, hi, energies, vectors in _spectral._solved(spec, lams, range(levels), span):
+        if lo == 0:
+            # frames[i] holds V_{lo-1+i}[:, :M] while the chunk from step lo
+            # runs; the first chunk is the longest.
+            frames = np.empty((hi + 1, dim, levels))
+        frames[1 : hi - lo + 1] = vectors
         del vectors
         if lo == 0:
             work[:] = (parts @ _padded(frames[1], (dim, width))).reshape(m, 2, width)

@@ -2,17 +2,24 @@
 
 All model Hamiltonians are real symmetric, so eigenvectors can be kept
 real and made continuous along a grid by fixing the sign of each column
-against the previous grid point. ``eigh`` is the one eigensolver, and
-this the one module that assembles H: the midpoint tables and step rule
-of ``dynamics``, ``frames``, the gap integral of ``perturbation`` and the
-``spectrum`` subcommand read their energies from it. ``frames`` is the
-one routine that applies the sign gauge: it solves a grid one chunk of
-controls at a time and carries the gauge across the chunks. Single
-eigenstates, the orbital stacks of ``tg`` and the adiabatic projection of
-``dynamics`` read every eigenvector column from it; ``track_frames``
-keeps the columns of its level pairs only, so a design track holds no
-eigenvector table. Level couplings are computed with the off-diagonal
-Hellmann-Feynman identity
+against the previous grid point. ``eigh`` is the one-call eigensolver,
+and this the one module that assembles H: the midpoint tables and step
+rule of ``dynamics``, the gap integral of ``perturbation`` and the
+``spectrum`` subcommand read their energies from it. A long grid is
+solved as one chunk stream, ``_solved``, which ``frames`` and the frame
+pass of ``dynamics`` iterate: it yields the grid one chunk of controls at
+a time with only the eigenvector columns its caller keeps. For a ring
+grid of more than one chunk streamed on the main thread of a process with
+more than one core, two solver threads run the secular half of the next
+two chunks while the caller gauges or steps the current one; the tie
+controls, which assemble H, stay on the calling thread, and a sweep's
+worker threads solve their streams inline. ``frames``
+is the one routine that applies the sign gauge, carried across the
+chunks. Single eigenstates, the orbital stacks of ``tg`` and the
+adiabatic projection of ``dynamics`` read every eigenvector column from
+it; ``track_frames`` keeps the columns of its level pairs only, so a
+design track holds no eigenvector table. Level couplings are computed
+with the off-diagonal Hellmann-Feynman identity
 
     <phi_i | d/dlambda phi_j> = <phi_i | dH/dlambda | phi_j> / (E_j - E_i)
 
@@ -42,6 +49,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +67,15 @@ DEGENERACY_RTOL = 1e-12
 # LAPACK's divide and conquer (dlaed2, dlaed8), below which LAPACK itself
 # hands neither to its secular solver.
 POLE_TIE_RTOL = 8.0 * np.finfo(float).eps
-# Float64 eigenvector entries that ``frames`` and ``track_frames`` solve at
-# once (2 MB): 39 controls at K = 40, and every few-level design grid in one.
+# Float64 eigenvector entries of one chunk of ``_solved`` (2 MB): 39
+# controls at K = 40, and every few-level design grid in one.
 _CHUNK_ENTRIES = 2 ** 18
+# Threads that solve the secular half of ring chunks, and the chunks a
+# stream keeps in flight ahead of the one its caller works on.
+_SOLVER_THREADS = 2
+_LOOKAHEAD = 2
+_pool = None
+_pool_lock = threading.Lock()
 
 # The arguments of dlaed9(k, kstart, kstop, n, d, q, ldq, rho, dlamda, w, s,
 # lds, info), all pointers, as scipy.linalg.cython_lapack declares them.
@@ -91,9 +108,10 @@ def _dlaed9_handle(capsules):
     return ctypes.CFUNCTYPE(None, *([ctypes.c_void_p] * len(_DLAED9_ARGS)))(address)
 
 
-# Resolved once; ctypes releases the GIL during each call, so the threads
-# of a sweep solve their matrices concurrently. Every call gets its own
-# buffers (see ``_ring_eigh``).
+# Resolved once. ctypes releases the GIL during each call, so the solver
+# threads of ``_solved`` run it while the calling thread gauges or steps an
+# earlier chunk, and the threads of a sweep solve at the same time. Every
+# ``_ring_secular`` call gets its own buffers.
 _DLAED9 = _dlaed9_handle(_cython_lapack.__pyx_capi__)
 
 
@@ -135,14 +153,6 @@ def _canonical_pair(pair, dim):
     return (i, j) if i < j else (j, i)
 
 
-def sign_fix(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so their overlap with ``reference`` columns
-    is positive. Columns with zero overlap are left unchanged."""
-    overlaps = np.einsum("ij,ij->j", reference, vectors)
-    signs = np.where(overlaps < 0.0, -1.0, 1.0)
-    return vectors * signs
-
-
 def gauge_fix_columns(vectors: np.ndarray) -> np.ndarray:
     """Deterministic overall sign: the largest-magnitude component of each
     column is made positive."""
@@ -150,6 +160,14 @@ def gauge_fix_columns(vectors: np.ndarray) -> np.ndarray:
     signs = np.sign(vectors[amax, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
+
+
+def _grid(lams) -> np.ndarray:
+    """``lams`` as a non-empty 1-d float array of finite controls."""
+    lams = _model._controls(lams)
+    if lams.ndim != 1 or len(lams) == 0:
+        raise ValueError("controls must be a non-empty 1-d array")
+    return lams
 
 
 def eigh(spec: _model.ModelSpec, lams):
@@ -162,19 +180,22 @@ def eigh(spec: _model.ModelSpec, lams):
     Raises FaquadError, naming the control, if the secular solver fails
     or returns a value that is not finite.
     """
-    lams = _model._controls(lams)
-    if lams.ndim != 1 or len(lams) == 0:
-        raise ValueError("controls must be a non-empty 1-d array")
+    lams = _grid(lams)
     if spec.kind != _model.RING:
         return np.linalg.eigh(_model.hamiltonian(spec, lams))
-    return _ring_eigh(spec, lams)
+    return _solve_ties(spec, lams, *_ring_secular(spec, lams))
 
 
-def _ring_eigh(spec, lams):
-    """``eigh`` of the ring: poles sorted per control, ``dlaed9`` writing
-    the energies straight into the result and the vectors into a buffer
-    whose rows are put back into k order."""
+def _ring_secular(spec, lams, columns=None):
+    """The secular half of the ring's ``eigh``: (energies, vectors, tie),
+    with every control solved but those where ``tie`` is set, whose rows
+    are zero, and only the 0-based eigenvector columns ``columns`` kept
+    (all of them when None). The poles are sorted per control, ``dlaed9``
+    writes the energies straight into the result and the vectors into a
+    buffer whose kept rows are put back into k order. It assembles no H,
+    so it may run on a solver thread."""
     dim = spec.dim
+    kept = slice(None) if columns is None else np.asarray(columns)
     gamma, v = _model.ring_barrier_factor(spec.params)
     norm2 = float(v @ v)
     rho = gamma * norm2
@@ -190,19 +211,20 @@ def _ring_eigh(spec, lams):
     tie = (np.min(np.diff(poles, axis=1), axis=1) <= tol) | (rho <= tol)
 
     energies = np.empty((len(lams), dim))
-    vectors = np.empty((len(lams), dim, dim))
-    if np.any(tie):
-        energies[tie], vectors[tie] = np.linalg.eigh(_model.hamiltonian(spec, lams[tie]))
+    vectors = np.empty((len(lams), dim, dim if columns is None else len(kept)))
+    # Zero until ``_solve_ties`` fills them, so that the finite check below
+    # reads no stale memory.
+    energies[tie] = vectors[tie] = 0.0
     # dlaed9 reads and writes through these addresses only while it runs;
     # each array stays referenced by a local name until the loop ends.
     ints = np.array([dim, 1, dim, dim, dim, dim, 0], dtype=np.intc)  # k kstart kstop n ldq lds info
     scalars = np.array([rho])
     work = np.empty((dim, dim))
-    columns = np.empty((dim, dim))  # Fortran S: row j holds eigenvector j, pole order
+    solved = np.empty((dim, dim))  # Fortran S: row j holds eigenvector j, pole order
     i_k, i_start, i_stop, i_n, i_ldq, i_lds, i_info = (
         ints.ctypes.data + ints.itemsize * j for j in range(7))
     e_base, p_base, w_base, q, rho_at, s = (
-        a.ctypes.data for a in (energies, poles, weights, work, scalars, columns))
+        a.ctypes.data for a in (energies, poles, weights, work, scalars, solved))
     row = dim * energies.itemsize
     for n in np.flatnonzero(~tie).tolist():
         _DLAED9(i_k, i_start, i_stop, i_n, e_base + n * row, q, i_ldq, rho_at,
@@ -210,23 +232,111 @@ def _ring_eigh(spec, lams):
         if ints[6] != 0:
             raise FaquadError(f"ring secular solver failed (LAPACK dlaed9 info {int(ints[6])}) "
                               f"at control {float(lams[n])!r}")
-        vectors[n, order[n]] = columns.T
+        vectors[n, order[n]] = solved[kept].T
     # NaN and inf survive the sums.
     bad = ~np.isfinite(energies.sum(axis=1) + vectors.sum(axis=(1, 2)))
     if np.any(bad):
         raise FaquadError("ring secular solver returned a value that is not finite "
                           f"at control {float(lams[np.argmax(bad)])!r}")
+    return energies, vectors, tie
+
+
+def _solve_ties(spec, lams, energies, vectors, tie, columns=None):
+    """The dense half of the ring's ``eigh``: ``numpy.linalg.eigh`` at the
+    controls where ``tie`` is set, written into those rows of the secular
+    half's arrays, eigenvector ``columns`` as there. (energies, vectors)."""
+    if np.any(tie):
+        energies[tie], full = np.linalg.eigh(_model.hamiltonian(spec, lams[tie]))
+        vectors[tie] = full if columns is None else np.take(full, columns, axis=2)
     return energies, vectors
+
+
+def _solver_pool():
+    """The threads that solve the secular half of ring chunks, shared by
+    the threaded streams and made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_SOLVER_THREADS,
+                                       thread_name_prefix="faquad-solver")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _threaded(spec, chunks):
+    """Whether a stream of ``chunks`` chunks solves its secular halves on
+    ``_solver_pool``: a ring grid of more than one chunk, streamed on the
+    main thread of a process allowed more than one core. A sweep's worker
+    threads keep the cores busy already, so their streams solve inline."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return (spec.kind == _model.RING and chunks > 1 and cores > 1
+            and threading.current_thread() is threading.main_thread())
+
+
+def _solved(spec, lams, columns=None, span=None):
+    """Yield (lo, hi, energies, vectors) of ``eigh`` at lams[lo:hi] for
+    consecutive chunks of ``span`` controls of ``lams``, a 1-d float array
+    as ``_grid`` returns it, with only the 0-based eigenvector columns
+    ``columns`` (all of them when None). A chunk holds at most
+    _CHUNK_ENTRIES eigenvector entries, which also caps ``span`` and is its
+    default.
+
+    Where ``_threaded`` holds, the secular half of each chunk runs on the
+    _SOLVER_THREADS threads of ``_solver_pool``, at most _LOOKAHEAD chunks
+    ahead of the one it yields, and keeps only ``columns`` there, so a
+    chunk in flight holds no more. The tie controls, which assemble H, run
+    on the calling thread, and so does every chunk of every other stream.
+    A matrix's result depends on neither the thread nor the chunk, so
+    neither moves a bit."""
+    n, dim = len(lams), spec.dim
+    most = max(1, _CHUNK_ENTRIES // (dim * dim))
+    span = most if span is None else max(1, min(span, most))
+    bounds = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
+
+    # Kept columns are C order (n, dim, m), as take returns them, so a
+    # column stays strided as in the whole array: track_frames' einsum sums
+    # a contiguous column in another order, which would move the couplings'
+    # last bits.
+    if not _threaded(spec, len(bounds)):
+        for lo, hi in bounds:
+            energies, vectors = eigh(spec, lams[lo:hi])
+            yield lo, hi, energies, (vectors if columns is None
+                                     else np.take(vectors, columns, axis=2))
+        return
+    pool = _solver_pool()
+    ahead = deque()
+    try:
+        for i, (lo, hi) in enumerate(bounds):
+            for a, b in bounds[i + len(ahead) : i + _LOOKAHEAD + 1]:
+                ahead.append(pool.submit(_ring_secular, spec, lams[a:b], columns))
+            yield (lo, hi) + _solve_ties(spec, lams[lo:hi], *ahead.popleft().result(), columns)
+    finally:
+        # A failed chunk or a consumer that stops early leaves no solve
+        # running past the stream.
+        for future in ahead:
+            future.cancel()
+        wait(ahead)
 
 
 def _sign_gauge(vectors: np.ndarray) -> None:
     """Sign rows 1.. of the eigenvector columns ``vectors`` (n, dim, m) in
-    place, row 0 being in the gauge already: each column gets the sign that
-    ``sign_fix`` against the column before gives it, at every row at once."""
+    place, row 0 being in the gauge already: each column is flipped where
+    its overlap with the column before, as gauged, is negative, and keeps
+    its sign as solved where that overlap is zero; all rows at once."""
     # A column's sign is the product of the signs of the raw overlaps since
-    # its last zero overlap, where sign_fix leaves the column as solved and
-    # the product starts again; flipping a column flips its next overlap
-    # exactly, so these signs are the ones sign_fix finds step by step.
+    # its last zero overlap, where the column keeps its solved sign and the
+    # product starts again; flipping a column flips its next overlap
+    # exactly, so these are the signs that gauging row by row finds.
     overlaps = np.einsum("kij,kij->kj", vectors[:-1], vectors[1:])
     shape = (len(vectors), vectors.shape[2])
     signs = np.ones(shape, dtype=np.int8)
@@ -244,30 +354,19 @@ def frames(spec: _model.ModelSpec, lams, columns=None):
     """Energies (n, dim) and eigenvector columns (n, dim, m) of H at each
     control of the 1-d array ``lams``, from ``eigh``, in the package's sign
     gauge: the columns at the first control follow ``gauge_fix_columns``,
-    and each later column has a nonnegative overlap with the one before
-    it (``sign_fix`` against the column before). The m columns kept are
-    the 0-based levels ``columns``, or all dim of them when None.
-    ``eigh`` solves at most _CHUNK_ENTRIES eigenvector entries at a time;
-    each chunk after the first is sign-fixed against the previous chunk's
-    last gauged row, so the chunks give the gauge of one solve of the
-    whole grid."""
-    lams = _model._controls(lams)
-    if lams.ndim != 1 or len(lams) == 0:
-        raise ValueError("controls must be a non-empty 1-d array")
-    n, dim = len(lams), spec.dim
-    span = max(1, _CHUNK_ENTRIES // (dim * dim))
-    for lo in range(0, n, span):
-        hi = min(lo + span, n)
-        chunk_energies, chunk = eigh(spec, lams[lo:hi])
-        if columns is not None:
-            # take returns C order, so a column stays strided as in the
-            # whole array: track_frames' einsum sums a contiguous column in
-            # another order, which would move the couplings' last bits.
-            chunk = np.take(chunk, columns, axis=2)
+    and each later column is flipped where its overlap with the column
+    before is negative, so that no overlap is negative; a column with zero
+    overlap keeps its sign as solved. The m columns kept are the 0-based
+    levels ``columns``, or all dim of them when None. The grid comes in
+    chunks from ``_solved``; each chunk after the first is gauged against
+    the previous chunk's last gauged row, so the chunks give the gauge of
+    one solve of the whole grid."""
+    lams = _grid(lams)
+    for lo, hi, chunk_energies, chunk in _solved(spec, lams, columns):
         if lo == 0:
             chunk[0] = gauge_fix_columns(chunk[0])
-            energies = np.empty((n, dim))
-            vectors = np.empty((n,) + chunk.shape[1:])
+            energies = np.empty((len(lams), spec.dim))
+            vectors = np.empty((len(lams),) + chunk.shape[1:])
         energies[lo:hi], vectors[lo:hi] = chunk_energies, chunk
         # Row lo - 1 is gauged already and carries the gauge into the chunk.
         _sign_gauge(vectors[max(lo - 1, 0) : hi])
@@ -276,7 +375,9 @@ def frames(spec: _model.ModelSpec, lams, columns=None):
 
 def eigenstate(spec: _model.ModelSpec, lam: float, level: int = 1) -> np.ndarray:
     """Instantaneous eigenvector (1-based level) at one control value, in
-    the gauge of ``frames``."""
+    the gauge of ``frames``. A level outside 1..dim raises ValueError."""
+    if not 1 <= level <= spec.dim:
+        raise ValueError(f"level must lie in 1..{spec.dim}, got {level}")
     return frames(spec, [lam])[1][0, :, level - 1]
 
 

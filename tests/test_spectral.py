@@ -3,7 +3,10 @@ the ring's secular eigensolver."""
 
 import ctypes
 import math
+import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cython_lapack
 
-from faquad import dynamics, model, protocol, spectral, tg
+import faquad
+from faquad import cli, dynamics, model, protocol, spectral, tg
 from faquad.errors import DegenerateGap, FaquadError
 
 
@@ -141,10 +145,19 @@ def test_frames_rejects_a_scalar_or_empty_control(two_level_spec):
             spectral.frames(two_level_spec, bad)
 
 
+def sign_fix(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Flip eigenvector columns so their overlap with ``reference`` columns
+    is positive. Columns with zero overlap are left unchanged: the
+    reference for the gauge of ``spectral.frames``, column by column."""
+    overlaps = np.einsum("ij,ij->j", reference, vectors)
+    signs = np.where(overlaps < 0.0, -1.0, 1.0)
+    return vectors * signs
+
+
 def test_sign_fix_handles_zero_overlap():
     ref = np.array([[1.0, 0.0], [0.0, 1.0]])
     rotated = np.array([[0.0, -1.0], [1.0, 0.0]])
-    fixed = spectral.sign_fix(rotated, ref)
+    fixed = sign_fix(rotated, ref)
     # Zero-overlap columns must pass through unscaled, never zeroed.
     assert np.array_equal(np.abs(fixed), np.abs(rotated))
 
@@ -155,7 +168,7 @@ def _frames_by_loop(spec, lams):
     energies, vectors = spectral.eigh(spec, lams)
     vectors[0] = spectral.gauge_fix_columns(vectors[0])
     for k in range(1, len(lams)):
-        vectors[k] = spectral.sign_fix(vectors[k], vectors[k - 1])
+        vectors[k] = sign_fix(vectors[k], vectors[k - 1])
     return energies, vectors
 
 
@@ -174,24 +187,27 @@ def test_frames_gauge_matches_the_sign_fix_loop(monkeypatch, ring_spec, cotunnel
     # The vectorised gauge against the loop, on 2001-point design grids and
     # on a u0 = 0 ring whose levels cross at Omega = pi: there the columns
     # swap, their overlaps are exactly zero and the sign product restarts.
-    # The zero-overlap grid gets random column signs from a stand-in eigh,
-    # the same for a control on every call, so that flips accumulate
-    # between the zeros. The last case starts a chunk of ``frames`` right
-    # after a zero overlap.
+    # The zero-overlap grid gets random column signs from a stand-in for
+    # the dense half of the ring solver, which solves every control of a
+    # u0 = 0 ring, in ``eigh`` and in the chunk stream of ``frames`` alike;
+    # the signs are the same for a control on every call, so that flips
+    # accumulate between the zeros. The last case starts a chunk of
+    # ``frames`` right after a zero overlap.
     if case == "ring":
         spec, lams = ring_spec, np.linspace(0.0, math.pi, 2001)
     elif case == "cotunneling":
         spec, lams = cotunneling_spec, np.linspace(66.7, -66.7, 2001)
     else:
         spec, lams = model.ring(u0=0.0, K=3), np.linspace(0.1, 2.0 * math.pi - 0.1, 41)
-        solve = spectral.eigh
+        solve = spectral._solve_ties
         flips = np.random.default_rng(7).choice([-1.0, 1.0], size=(len(lams), spec.dim))
 
-        def scrambled(spec, controls):
-            energies, vectors = solve(spec, controls)
+        def scrambled(spec, controls, energies, vectors, tie, columns=None):
+            assert np.all(tie) and columns is None
+            energies, vectors = solve(spec, controls, energies, vectors, tie)
             return energies, vectors * flips[np.searchsorted(lams, controls), None, :]
 
-        monkeypatch.setattr(spectral, "eigh", scrambled)
+        monkeypatch.setattr(spectral, "_solve_ties", scrambled)
     energies, vectors = _frames_by_loop(spec, lams)
     if case.startswith("zero-overlap"):
         raw = spectral.eigh(spec, lams)[1]
@@ -342,7 +358,7 @@ def test_frames_at_tie_controls_keep_the_dense_columns_and_gauge(ring_spec):
             energies, vectors = np.linalg.eigh(model.hamiltonian(spec, np.array(lams)))
             vectors[0] = spectral.gauge_fix_columns(vectors[0])
             for k in range(1, len(lams)):
-                vectors[k] = spectral.sign_fix(vectors[k], vectors[k - 1])
+                vectors[k] = sign_fix(vectors[k], vectors[k - 1])
             got_energies, got_vectors = spectral.frames(spec, lams)
             assert np.array_equal(got_energies, energies)
             assert np.array_equal(got_vectors, vectors)
@@ -383,3 +399,238 @@ def test_lapack_signature_mismatch_is_a_faquad_error():
         spectral._dlaed9_handle({"dlaed9": capsules["dsyevd"]})
     with pytest.raises(FaquadError, match="no dlaed9"):
         spectral._dlaed9_handle({})
+
+
+def test_eigenstate_rejects_a_level_outside_the_model():
+    spec = model.ring(u0=0.5, K=3)
+    frames = spectral.frames(spec, [0.7])[1][0]
+    assert np.array_equal(spectral.eigenstate(spec, 0.7, 1), frames[:, 0])
+    assert np.array_equal(spectral.eigenstate(spec, 0.7, spec.dim), frames[:, -1])
+    for level in (0, -1, spec.dim + 1):
+        with pytest.raises(ValueError, match=f"1..{spec.dim}"):
+            spectral.eigenstate(spec, 0.7, level)
+
+
+def _serial_solved(spec, lams, columns=None, span=None):
+    """The chunk stream of ``spectral._solved`` without its solver threads:
+    ``spectral.eigh`` of each chunk in turn, on the calling thread."""
+    most = max(1, spectral._CHUNK_ENTRIES // spec.dim ** 2)
+    span = most if span is None else max(1, min(span, most))
+    for lo in range(0, len(lams), span):
+        hi = min(lo + span, len(lams))
+        energies, vectors = spectral.eigh(spec, lams[lo:hi])
+        yield lo, hi, energies, vectors if columns is None else np.take(vectors, columns, axis=2)
+
+
+def _recording_threads(monkeypatch, owner, attr):
+    """Patch ``owner.attr`` to record the thread of each call; returns the
+    set of thread idents it fills."""
+    function, threads = getattr(owner, attr), set()
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, recording)
+    return threads
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A process allowed two cores, so that a ring stream of several chunks
+    on the main thread takes the solver threads on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+# A K = 20 ring grid of 180 controls, 155 to a default chunk, with tie
+# controls (Omega = 0 and pi, which the calling thread solves) at the ends
+# of chunks of 155 and of 7 controls.
+STREAM_TIES = {0: 0.0, 6: math.pi, 7: 0.0, 154: math.pi, 155: 0.0, 179: math.pi}
+
+
+@pytest.mark.parametrize("chunk", ["one", "default", "seven"])
+def test_stream_matches_a_serial_chunk_by_chunk_eigh(monkeypatch, two_cores, chunk):
+    # frames and the frame pass get the same bits from the threaded stream
+    # as from eigh chunk by chunk on the calling thread, and at every chunk
+    # size as from one chunk of the whole grid.
+    spec = model.ring(u0=0.5, K=20)
+    lams = np.linspace(0.05, 3.0, 180)
+    lams[list(STREAM_TIES)] = list(STREAM_TIES.values())
+    traj = protocol.linear_ramp(spec)
+    stack = tg.stack_at(spec, spec.lambda_start, 9)
+    tf_arr = np.array([20.0, 90.0])
+    monkeypatch.setattr(dynamics, "_midpoint_controls", lambda traj, n_steps: lams[:n_steps])
+
+    def both():
+        return (spectral.frames(spec, lams), spectral.frames(spec, lams, [2, 3, 8, 9]),
+                dynamics._frame_pass(traj, len(lams), stack, tf_arr, 32, saves=[7, 100, 180]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_CHUNK_ENTRIES", len(lams) * spec.dim ** 2)
+        patch.setattr(spectral, "_solved", _serial_solved)
+        whole = both()
+    if chunk == "one":
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", len(lams) * spec.dim ** 2)
+    elif chunk == "seven":
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 7 * spec.dim ** 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_solved", _serial_solved)
+        serial = both()
+    solver_threads = _recording_threads(monkeypatch, spectral, "_ring_secular")
+    dense_threads = _recording_threads(monkeypatch, np.linalg, "eigh")
+    streamed = both()
+    for got in (serial, streamed):
+        for (energies, vectors), (want_energies, want_vectors) in zip(got[:2], whole[:2]):
+            assert np.array_equal(energies, want_energies)
+            assert np.array_equal(vectors, want_vectors)
+        assert np.array_equal(got[2][0], whole[2][0]) and got[2][1] == whole[2][1]
+    caller = threading.get_ident()
+    assert dense_threads == {caller}
+    # One chunk is solved inline; more go to the solver threads.
+    assert (solver_threads == {caller}) == (chunk == "one")
+
+
+def _failing_at(lam):
+    """A dlaed9 handle that solves as LAPACK does, then reports info 3 at
+    the control ``lam`` of a ring stirred within (0, pi), whose smallest
+    pole is (lam / 2pi)^2."""
+    solve, pole = spectral._DLAED9, (lam / (2.0 * math.pi)) ** 2
+
+    def handle(*addresses):
+        smallest = ctypes.c_double.from_address(addresses[8]).value
+        solve(*addresses)
+        if math.isclose(smallest, pole, rel_tol=1e-12):
+            ctypes.c_int.from_address(addresses[12]).value = 3
+
+    return handle
+
+
+@pytest.mark.parametrize("caller", ["frames", "duration_sweep"])
+def test_a_failed_chunk_names_its_control_and_the_pool_goes_on(monkeypatch, two_cores, caller):
+    # The control sits in the third of five chunks of 7, which a solver
+    # thread solves while the calling thread works on the first.
+    spec = model.ring(u0=0.5, K=5)
+    assert spec.dim > dynamics.TREE_PRODUCT_MAX_DIM
+    monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 7 * spec.dim ** 2)
+    traj = protocol.linear_ramp(spec)
+    lams = np.linspace(0.1, 3.0, 32)
+    if caller == "frames":
+        def run():
+            return spectral.frames(spec, lams)
+    else:
+        lams = dynamics._midpoint_controls(traj, 32)
+
+        def run():
+            return tg.duration_sweep([3], traj, [5.0, 10.0], n_steps=32)[0].fidelity
+    bad = float(lams[16])
+    solve = spectral._DLAED9
+    monkeypatch.setattr(spectral, "_DLAED9", _failing_at(bad))
+    with pytest.raises(FaquadError, match="info 3") as caught:
+        run()
+    assert f"at control {bad!r}" in str(caught.value)
+    pool = spectral._solver_pool()
+    monkeypatch.setattr(spectral, "_DLAED9", solve)
+    got = run()
+    assert spectral._solver_pool() is pool
+    if caller == "frames":
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_solved", _serial_solved)
+            want = spectral.frames(spec, lams)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    else:
+        assert np.all(np.isfinite(got))
+
+
+def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch, two_cores):
+    # bench/tracing.py wraps numpy.linalg.eigh and model.hamiltonian and
+    # nests its spans on one stack, so neither may run on a solver thread
+    # during a reduced fig6a; the secular half of its chunks does.
+    monkeypatch.delenv("FAQUAD_WORKERS", raising=False)
+    dense = _recording_threads(monkeypatch, np.linalg, "eigh")
+    assembly = _recording_threads(monkeypatch, model, "hamiltonian")
+    secular = _recording_threads(monkeypatch, spectral, "_ring_secular")
+    assert cli.main(["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+    caller = threading.get_ident()
+    assert dense == assembly == {caller}
+    assert secular - {caller}
+
+
+@pytest.mark.parametrize("where", ["sweep-workers", "one-core"])
+def test_a_stream_on_a_sweep_worker_or_one_core_solves_inline(monkeypatch, where):
+    # A sweep's worker threads keep the cores busy already, and one core
+    # leaves nothing to overlap, so there every chunk of a ring stream is
+    # solved on the calling thread, with the same bits.
+    spec = model.ring(u0=0.5, K=20)
+    lams = np.linspace(0.05, 3.0, 400)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_solved", _serial_solved)
+        want = spectral.frames(spec, lams)
+
+    def no_pool():
+        raise AssertionError("a stream reached the solver threads")
+
+    monkeypatch.setattr(spectral, "_solver_pool", no_pool)
+    secular = _recording_threads(monkeypatch, spectral, "_ring_secular")
+    got = {}
+
+    def point(x):
+        got[threading.get_ident()] = spectral.frames(spec, lams)
+        return x
+
+    if where == "one-core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        point(0.0)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        values, failures = dynamics._sweep([0.0, 1.0], point, workers=2)
+        assert not failures and threading.get_ident() not in got
+    assert secular == set(got)
+    for energies, vectors in got.values():
+        assert np.array_equal(energies, want[0]) and np.array_equal(vectors, want[1])
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this faquad."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(faquad.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_starts_no_thread():
+    # The solver threads start with the first ring grid of more than one
+    # chunk, not with the import.
+    code = (
+        "import threading\n"
+        "import faquad.cli\n"
+        "from faquad import spectral\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert spectral._pool is None\n"
+    )
+    _run_python(code)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_solver_threads():
+    # A child forked after a threaded stream has none of the pool's
+    # threads; a stream there must not wait on them (the alarm ends a child
+    # that does).
+    code = (
+        "import os\n"
+        "import signal\n"
+        "import numpy as np\n"
+        "from faquad import model, spectral\n"
+        "spec = model.ring(u0=0.5, K=20)\n"
+        "lams = np.linspace(0.1, 3.0, 400)\n"
+        "want = spectral.frames(spec, lams)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(30)\n"
+        "    got = spectral.frames(spec, lams)\n"
+        "    os._exit(0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 1)\n"
+        "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
+    )
+    _run_python(code)
