@@ -325,7 +325,11 @@ def _cmd_spectrum(cfg, spec, run):
     levels = cfg.get("levels", min(5, spec.dim))
     points = cfg.get("points", 161)
     grid = np.linspace(spec.lambda_start, spec.lambda_end, points)
-    energies = _spectral.eigh(spec, grid)[0][:, :levels]
+    # Chunk by chunk with one eigenvector column kept: the grid's
+    # eigenvector table is never held.
+    energies = np.empty((points, levels))
+    for lo, hi, chunk, _ in _spectral._solved(spec, grid, [0]):
+        energies[lo:hi] = chunk[:, :levels]
     rows = [(lam, n + 1, energies[i, n]) for i, lam in enumerate(grid) for n in range(levels)]
     _write_csv(run.path("spectrum.csv"), "lambda,n,energy", rows)
     if spec.kind == _model.RING:
@@ -599,6 +603,8 @@ def run_steps(command: str, cfg: dict, steps) -> int:
     cfg = dict(cfg)
     run = _Run(cfg.pop("output_dir", DEFAULT_OUTPUT_DIR), command, cfg, _workers())
     run.manifest["steps"] = steps
+    if any(spec.kind == _model.RING for _, _, spec, _ in configs):
+        run.manifest["ring_lapack"] = _spectral.LAPACK
     for name, step_cfg, spec, tag in configs:
         run.tag = tag
         _COMMANDS[name](step_cfg, spec, run)

@@ -34,9 +34,13 @@ each pair of neighbouring poles (Bunch, Nielsen & Sorensen, Numer. Math.
 formula, which keeps them orthogonal to working precision (Gu &
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)). ``eigh`` solves
 it with LAPACK's compiled merge step ``dlaed9`` (``dlaed4`` per root,
-then the Loewner vectors), reached through the function capsules of
-``scipy.linalg.cython_lapack``: O(dim^2) per matrix against O(dim^3) for
-a dense solver. Controls where two poles tie (Omega a multiple of pi)
+then the Loewner vectors): O(dim^2) per matrix against O(dim^3) for a
+dense solver. ``dlaed9`` comes from the LAPACK that ``numpy.linalg``
+links when that is the scipy-openblas build with 64-bit integers of
+numpy's wheels, and otherwise from the function capsules of
+``scipy.linalg.cython_lapack`` (Accelerate, MKL and other builds), the
+only place where faquad imports scipy at start; ``LAPACK`` names the
+source. Controls where two poles tie (Omega a multiple of pi)
 and a barrier too weak to move the poles (u0 = 0) go to
 ``numpy.linalg.eigh``, which is exact there; ``POLE_TIE_RTOL`` states
 the tolerance.
@@ -56,7 +60,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack as _cython_lapack
 
 from . import model as _model
 from .errors import DegenerateGap, FaquadError
@@ -78,17 +81,37 @@ _pool = None
 _pool_lock = threading.Lock()
 
 # The arguments of dlaed9(k, kstart, kstop, n, d, q, ldq, rho, dlamda, w, s,
-# lds, info), all pointers, as scipy.linalg.cython_lapack declares them.
+# lds, info), all pointers, as scipy.linalg.cython_lapack declares them;
+# "int" is the LAPACK integer of the source, ``_DLAED9_INT``.
 _DLAED9_ARGS = ("int", "int", "int", "int", "double", "double", "int",
                 "double", "double", "double", "double", "int", "int")
 
 
-def _dlaed9_handle(capsules):
+def _openblas_dlaed9(lib):
+    """(``dlaed9``, the library's name and version) from the ctypes
+    library ``lib`` if it is a scipy-openblas build with 64-bit LAPACK
+    integers: it exports ``scipy_dlaed9_64_`` and its configuration string,
+    ``scipy_openblas_get_config64_()``, names USE64BITINT. None otherwise,
+    so that no routine is called with integers of the wrong width."""
+    try:
+        config, solve = lib.scipy_openblas_get_config64_, lib.scipy_dlaed9_64_
+    except AttributeError:
+        return None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    words = (config() or b"").decode(errors="replace").split()
+    if "USE64BITINT" not in words:
+        return None
+    solve.argtypes, solve.restype = [ctypes.c_void_p] * len(_DLAED9_ARGS), None
+    return solve, " ".join(words[:2])
+
+
+def _capsule_dlaed9(capsules):
     """LAPACK's ``dlaed9`` from a table of ``cython_lapack`` function
     capsules, as a ctypes function of 13 raw addresses. The capsule's
     signature string must read void (...) with the pointers of
-    ``_DLAED9_ARGS``, "double" being cython_lapack's ``d`` typedef; a
-    missing routine or another signature raises FaquadError."""
+    ``_DLAED9_ARGS``, "int" being a C int and "double" cython_lapack's
+    ``d`` typedef; a missing routine or another signature raises
+    FaquadError."""
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -108,11 +131,34 @@ def _dlaed9_handle(capsules):
     return ctypes.CFUNCTYPE(None, *([ctypes.c_void_p] * len(_DLAED9_ARGS)))(address)
 
 
-# Resolved once. ctypes releases the GIL during each call, so the solver
-# threads of ``_solved`` run it while the calling thread gauges or steps an
-# earlier chunk, and the threads of a sweep solve at the same time. Every
+def _dlaed9_handle():
+    """(``dlaed9``, the numpy integer type of its LAPACK integers, the
+    name of its library). The first source is the library that
+    ``numpy.linalg`` links: ``dlsym`` on its extension module also searches
+    the libraries that module needs (``_openblas_dlaed9``). The second is
+    ``scipy.linalg.cython_lapack``, which takes C ints and is the only
+    place this module imports scipy."""
+    try:
+        from numpy.linalg import _umath_linalg
+        found = _openblas_dlaed9(ctypes.CDLL(_umath_linalg.__file__))
+    except (ImportError, OSError):
+        found = None
+    if found is not None:
+        solve, name = found
+        return solve, np.int64, f"numpy {name}"
+    import scipy
+    from scipy.linalg import cython_lapack
+
+    return (_capsule_dlaed9(cython_lapack.__pyx_capi__), np.intc,
+            f"scipy {scipy.__version__} cython_lapack")
+
+
+# Resolved once; ``LAPACK`` goes into the manifest of every ring run.
+# ctypes releases the GIL during each call, so the solver threads of
+# ``_solved`` run it while the calling thread gauges or steps an earlier
+# chunk, and the threads of a sweep solve at the same time. Every
 # ``_ring_secular`` call gets its own buffers.
-_DLAED9 = _dlaed9_handle(_cython_lapack.__pyx_capi__)
+_DLAED9, _DLAED9_INT, LAPACK = _dlaed9_handle()
 
 
 @dataclass(frozen=True)
@@ -183,17 +229,28 @@ def eigh(spec: _model.ModelSpec, lams):
     lams = _grid(lams)
     if spec.kind != _model.RING:
         return np.linalg.eigh(_model.hamiltonian(spec, lams))
-    return _solve_ties(spec, lams, *_ring_secular(spec, lams))
+    energies, vectors = _outputs(spec, lams)
+    tie = _ring_secular(spec, lams, energies, vectors)
+    return _solve_ties(spec, lams, energies, vectors, tie)
 
 
-def _ring_secular(spec, lams, columns=None):
-    """The secular half of the ring's ``eigh``: (energies, vectors, tie),
-    with every control solved but those where ``tie`` is set, whose rows
-    are zero, and only the 0-based eigenvector columns ``columns`` kept
-    (all of them when None). The poles are sorted per control, ``dlaed9``
-    writes the energies straight into the result and the vectors into a
-    buffer whose kept rows are put back into k order. It assembles no H,
-    so it may run on a solver thread."""
+def _outputs(spec, lams, columns=None):
+    """Empty energies (n, dim) and eigenvector columns (n, dim, m) for the
+    n controls ``lams``, m being len(columns), or dim when None."""
+    m = spec.dim if columns is None else len(columns)
+    return np.empty((len(lams), spec.dim)), np.empty((len(lams), spec.dim, m))
+
+
+def _ring_secular(spec, lams, energies, vectors, columns=None):
+    """The secular half of the ring's ``eigh``, written into ``energies``
+    and ``vectors`` as ``_outputs`` makes them: every control solved but
+    those where the returned mask ``tie`` is set, whose rows are zero, and
+    only the 0-based eigenvector columns ``columns`` kept (all of them when
+    None). The poles are sorted per control, ``dlaed9`` writes the energies
+    straight into the result and the vectors into a buffer whose kept rows
+    are put back into k order. It assembles no H, so it may run on a solver
+    thread; its caller allocates the outputs, which keeps the large
+    allocations off the solver threads' malloc arenas."""
     dim = spec.dim
     kept = slice(None) if columns is None else np.asarray(columns)
     gamma, v = _model.ring_barrier_factor(spec.params)
@@ -210,14 +267,13 @@ def _ring_secular(spec, lams, columns=None):
     tol = POLE_TIE_RTOL * poles[:, -1]
     tie = (np.min(np.diff(poles, axis=1), axis=1) <= tol) | (rho <= tol)
 
-    energies = np.empty((len(lams), dim))
-    vectors = np.empty((len(lams), dim, dim if columns is None else len(kept)))
     # Zero until ``_solve_ties`` fills them, so that the finite check below
     # reads no stale memory.
     energies[tie] = vectors[tie] = 0.0
     # dlaed9 reads and writes through these addresses only while it runs;
     # each array stays referenced by a local name until the loop ends.
-    ints = np.array([dim, 1, dim, dim, dim, dim, 0], dtype=np.intc)  # k kstart kstop n ldq lds info
+    # k kstart kstop n ldq lds info, in the source's LAPACK integer
+    ints = np.array([dim, 1, dim, dim, dim, dim, 0], dtype=_DLAED9_INT)
     scalars = np.array([rho])
     work = np.empty((dim, dim))
     solved = np.empty((dim, dim))  # Fortran S: row j holds eigenvector j, pole order
@@ -238,7 +294,7 @@ def _ring_secular(spec, lams, columns=None):
     if np.any(bad):
         raise FaquadError("ring secular solver returned a value that is not finite "
                           f"at control {float(lams[np.argmax(bad)])!r}")
-    return energies, vectors, tie
+    return tie
 
 
 def _solve_ties(spec, lams, energies, vectors, tie, columns=None):
@@ -318,14 +374,17 @@ def _solved(spec, lams, columns=None, span=None):
     try:
         for i, (lo, hi) in enumerate(bounds):
             for a, b in bounds[i + len(ahead) : i + _LOOKAHEAD + 1]:
-                ahead.append(pool.submit(_ring_secular, spec, lams[a:b], columns))
-            yield (lo, hi) + _solve_ties(spec, lams[lo:hi], *ahead.popleft().result(), columns)
+                out = _outputs(spec, lams[a:b], columns)
+                ahead.append((out, pool.submit(_ring_secular, spec, lams[a:b], *out, columns)))
+            out, future = ahead.popleft()
+            yield (lo, hi) + _solve_ties(spec, lams[lo:hi], *out, future.result(), columns)
     finally:
         # A failed chunk or a consumer that stops early leaves no solve
         # running past the stream.
-        for future in ahead:
+        futures = [future for _, future in ahead]
+        for future in futures:
             future.cancel()
-        wait(ahead)
+        wait(futures)
 
 
 def _sign_gauge(vectors: np.ndarray) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,10 @@ def test_spectrum_outputs_ring_oracle_files(tmp_path):
     assert header == "lambda,n,alpha,energy"
     for r in rows:
         assert float(r[3]) == pytest.approx(float(r[2]) ** 2, rel=1e-9)
+    # A ring run names the LAPACK that solved it.
+    from faquad import spectral
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ring_lapack"] == spectral.LAPACK
 
 
 def test_spectrum_default_levels_fit_the_model(tmp_path):
@@ -234,6 +239,39 @@ def test_spectrum_default_levels_fit_the_model(tmp_path):
     assert cli.main(["spectrum", *TWO_LEVEL_FLAGS, "--points", "3", "--out", str(out)]) == 0
     _, rows = _read_csv(out / "spectrum.csv")
     assert len(rows) == 3 * 2
+    assert "ring_lapack" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_spectrum_streams_its_grid(tmp_path, monkeypatch):
+    # 4000 K = 40 ring controls. One eigh of the whole grid held a
+    # (4000, 81, 81) eigenvector table: a traced peak of 210 MB. The stream
+    # keeps one column per chunk: traced peaks of 1.0 MB on the solver
+    # threads and 4.5 MB with every chunk solved inline (one core). The
+    # bound is the larger plus 3.5 MB of margin. The root oracle of
+    # alpha.csv is stubbed: it is not what is measured.
+    from faquad import model, spectral
+    monkeypatch.setattr(model, "ring_alpha_roots", lambda lam, u0, n: np.zeros(n))
+    out = tmp_path / "sp"
+    args = ["spectrum", "--model", "ring", "--u0", "0.5", "--K", "40", "--points", "4000",
+            "--levels", "1", "--out", str(out)]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 8e6
+    _, rows = _read_csv(out / "spectrum.csv")
+    spec = model.ring(u0=0.5, K=40)
+    grid = np.linspace(spec.lambda_start, spec.lambda_end, 4000)[::97]
+    energies = spectral.eigh(spec, grid)[0][:, 0]
+    assert [row[0] for row in rows[::97]] == [cli._fmt(lam) for lam in grid]
+    assert [row[2] for row in rows[::97]] == [cli._fmt(energy) for energy in energies]
 
 
 @pytest.mark.parametrize("args,csv", [
@@ -398,19 +436,18 @@ def test_only_spectral_builds_and_diagonalises_a_hamiltonian(tmp_path, monkeypat
     assert callers == {"faquad.spectral"}
 
 
-def test_import_loads_only_scipy_linalg():
-    """A fresh ``import faquad.cli`` loads scipy's LAPACK capsules for the
-    ring solver and none of the interpolate, optimize or special
-    subpackages; the root oracle imports ``brentq`` when it is called."""
+def test_import_loads_no_scipy():
+    """A fresh ``import faquad.cli`` loads no scipy module: the ring
+    solver takes ``dlaed9`` from the LAPACK that numpy links. The root
+    oracle imports ``brentq`` when it is called."""
     code = (
         "import sys\n"
         "import faquad.cli\n"
         "from faquad import model\n"
-        "heavy = ('scipy.interpolate', 'scipy.optimize', 'scipy.special')\n"
-        "loaded = sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
-        "assert 'scipy.linalg.cython_lapack' in sys.modules\n"
         "print(model.ring_alpha_roots(0.5, 1.0, 3).tolist())\n"
+        "assert 'scipy.optimize' in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(faquad.__file__)))
     env = dict(os.environ)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -364,13 +365,19 @@ def test_frames_at_tie_controls_keep_the_dense_columns_and_gauge(ring_spec):
             assert np.array_equal(got_vectors, vectors)
 
 
+def _write_info(address, info):
+    """Write ``info`` at ``address`` as the solver's LAPACK integer, of
+    whichever width the resolved source takes."""
+    np.ctypeslib.as_ctypes_type(spectral._DLAED9_INT).from_address(address).value = info
+
+
 def _handle_writing(info=0, energy=None):
     """A stand-in for the dlaed9 handle that sets ``info`` and, if given,
     writes ``energy`` as the first eigenvalue."""
     def handle(*addresses):
         if energy is not None:
             ctypes.c_double.from_address(addresses[4]).value = energy
-        ctypes.c_int.from_address(addresses[12]).value = info
+        _write_info(addresses[12], info)
     return handle
 
 
@@ -394,11 +401,76 @@ def test_secular_solver_failure_names_the_control(monkeypatch, handle, message):
 
 def test_lapack_signature_mismatch_is_a_faquad_error():
     capsules = cython_lapack.__pyx_capi__
-    spectral._dlaed9_handle(capsules)
+    spectral._capsule_dlaed9(capsules)
     with pytest.raises(FaquadError, match="declared"):
-        spectral._dlaed9_handle({"dlaed9": capsules["dsyevd"]})
+        spectral._capsule_dlaed9({"dlaed9": capsules["dsyevd"]})
     with pytest.raises(FaquadError, match="no dlaed9"):
-        spectral._dlaed9_handle({})
+        spectral._capsule_dlaed9({})
+
+
+def _address(function):
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+def _secular(spec, lams):
+    energies, vectors = spectral._outputs(spec, lams)
+    tie = spectral._ring_secular(spec, lams, energies, vectors)
+    return energies, vectors, tie
+
+
+def test_scipy_source_takes_c_ints_and_solves_as_numpys_lapack(monkeypatch):
+    # Without numpy's LAPACK the resolver takes scipy's dlaed9 capsule,
+    # whose integers are C ints, and the secular half then solves a K = 40
+    # grid with tie controls (Omega = 0, pi, 2 pi) as the first source does.
+    spec = model.ring(u0=0.5, K=40)
+    lams = np.linspace(0.0, 2.0 * math.pi, 401)
+    want_energies, want_vectors, want_tie = _secular(spec, lams)
+    monkeypatch.setattr(spectral, "_openblas_dlaed9", lambda lib: None)
+    solve, integer, name = spectral._dlaed9_handle()
+    assert _address(solve) == _address(spectral._capsule_dlaed9(cython_lapack.__pyx_capi__))
+    assert integer is np.intc
+    assert name.startswith("scipy ") and name.endswith(" cython_lapack")
+    monkeypatch.setattr(spectral, "_DLAED9", solve)
+    monkeypatch.setattr(spectral, "_DLAED9_INT", integer)
+    energies, vectors, tie = _secular(spec, lams)
+    assert np.array_equal(tie, want_tie) and np.flatnonzero(tie).tolist() == [0, 200, 400]
+    assert np.max(np.abs(energies - want_energies)) <= 1e-13
+    assert np.max(np.abs(vectors - want_vectors)) <= 1e-13
+    # The failure checks read info in the source's integer type.
+    monkeypatch.setattr(spectral, "_DLAED9", _handle_writing(info=3))
+    with pytest.raises(FaquadError, match="info 3"):
+        spectral.eigh(spec, lams[1:3])
+
+
+def _library(config, dlaed9=True):
+    """A stand-in for a shared library whose configuration string reads
+    ``config`` and which exports a dlaed9 unless ``dlaed9`` is False."""
+    lib = types.SimpleNamespace(scipy_openblas_get_config64_=lambda: config)
+    if dlaed9:
+        lib.scipy_dlaed9_64_ = lambda *addresses: None
+    return lib
+
+
+def test_a_64_bit_scipy_openblas_is_taken():
+    lib = _library(b"OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH MAX_THREADS=64")
+    solve, name = spectral._openblas_dlaed9(lib)
+    assert solve is lib.scipy_dlaed9_64_ and name == "OpenBLAS 0.3.31"
+    assert solve.argtypes == [ctypes.c_void_p] * 13 and solve.restype is None
+
+
+@pytest.mark.parametrize("lib", [
+    _library(b"OpenBLAS 0.3.31  DYNAMIC_ARCH MAX_THREADS=64"),
+    _library(b"OpenBLAS 0.3.31  NO_USE64BITINT"),
+    _library(None),
+    _library(b"OpenBLAS 0.3.31  USE64BITINT DYNAMIC_ARCH", dlaed9=False),
+    types.SimpleNamespace(),
+], ids=["32-bit-config", "other-word", "no-config-string", "no-dlaed9", "no-symbols"])
+def test_a_library_without_64_bit_integers_or_dlaed9_is_never_used(monkeypatch, lib):
+    assert spectral._openblas_dlaed9(lib) is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    solve, integer, name = spectral._dlaed9_handle()
+    assert integer is np.intc and name.endswith(" cython_lapack")
+    assert _address(solve) == _address(spectral._capsule_dlaed9(cython_lapack.__pyx_capi__))
 
 
 def test_eigenstate_rejects_a_level_outside_the_model():
@@ -500,7 +572,7 @@ def _failing_at(lam):
         smallest = ctypes.c_double.from_address(addresses[8]).value
         solve(*addresses)
         if math.isclose(smallest, pole, rel_tol=1e-12):
-            ctypes.c_int.from_address(addresses[12]).value = 3
+            _write_info(addresses[12], 3)
 
     return handle
 
