@@ -26,9 +26,15 @@ so only the diagonal phases P_k = exp(-i E_k dt) depend on the duration:
 the real overlaps O_k are formed once from a full ``MidpointTable``
 (``StepOverlaps``), and a duration costs the phases, one scaling of the
 overlap rows and the tree product. The factors are stored
-structure-of-arrays, as one (d, d, n) array with the step index last, so
-each level of the tree is a few elementwise multiply-adds on the
-component vectors of the factors.
+structure-of-arrays, with the step index last, so each level of the tree
+is a few elementwise multiply-adds on the component vectors of the
+factors. They are formed _TREE_CHUNK pairs at a time straight into the
+first level, a (d, d, n/2) array, and the later levels run in place in
+it, so a duration holds no (d, d, n) stack. A sweep forms every
+duration's final state before it scores any: on the main thread of a
+process allowed more than one core, one thread of ``spectral``'s solver
+pool takes half of the durations, with scratch made on the calling
+thread.
 
 Everything else, ``evolve`` included, is one frame pass: the state is
 stepped in the frame of the lowest M adiabatic levels. With
@@ -55,7 +61,6 @@ at M = dim.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -202,8 +207,6 @@ class StepOverlaps:
     ``energies`` is the (d, n) eigenvalue table, level first; ``overlaps``
     holds O_k = V_k^T V_{k-1} as a (d, d, n) array with O_0 the identity;
     ``first`` is V_0^T and ``last`` V_{n-1}. None depends on the duration.
-    Each thread that forms a product gets its own scratch arrays, made on
-    first use and kept for the next duration.
     """
 
     def __init__(self, table: MidpointTable):
@@ -216,17 +219,17 @@ class StepOverlaps:
         self.overlaps[:, :, 0] = np.eye(d)
         np.matmul(v[1:].transpose(0, 2, 1), v[:-1],
                   out=self.overlaps[:, :, 1:].transpose(2, 0, 1))
-        self._local = threading.local()
 
-    def scratch(self):
-        """(phases, stack, spare, term) of this thread."""
-        if not hasattr(self._local, "arrays"):
-            d, n = self.energies.shape
-            self._local.arrays = (np.empty((d, n), dtype=complex),
-                                  np.empty((d, d, n), dtype=complex),
-                                  np.empty((d, d, n // 2), dtype=complex),
-                                  np.empty((d, d, min(n // 2, _TREE_CHUNK)), dtype=complex))
-        return self._local.arrays
+
+def _tree_scratch(steps: StepOverlaps):
+    """(level, spare, term): the scratch of one thread's ``_total_propagator``
+    calls on ``steps``, as ``_tree_product`` takes it, with ``spare`` two
+    chunks of factors long."""
+    d, n = steps.energies.shape
+    chunk = max(1, min(n // 2, _TREE_CHUNK))
+    return (np.empty((d, d, max(1, n // 2)), dtype=complex),
+            np.empty((d, d, 2 * chunk), dtype=complex),
+            np.empty((d, d, chunk), dtype=complex))
 
 
 def _pair_products(later, earlier, out=None, term=None):
@@ -238,35 +241,59 @@ def _pair_products(later, earlier, out=None, term=None):
     return out
 
 
-def _tree_product(stack: np.ndarray, spare: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Ordered product stack[:, :, n-1] @ ... @ stack[:, :, 0] of a (d, d, n)
-    stack, by pairwise reduction of neighbours; at a level of odd length
-    the last factor multiplies the last pair product. The levels alternate
-    between ``stack`` and ``spare`` (at least n // 2 long), which are
-    overwritten, and run in chunks of the length of ``term``."""
-    n = stack.shape[2]
+def _tree_product(factors, n: int, level: np.ndarray, spare: np.ndarray,
+                  term: np.ndarray) -> np.ndarray:
+    """Ordered product F_{n-1} @ ... @ F_0 of n (d, d) factors, by pairwise
+    reduction of neighbours; at a level of odd length the last factor
+    multiplies the last pair product. factors(lo, hi) returns F_lo .. F_{hi-1}
+    as a (d, d, hi - lo) array, at most twice the length of ``term`` at a
+    time, and may write them into ``spare`` (d, d, at least that long).
+    The levels run in chunks of the length of ``term``: the first goes into
+    ``level`` (at least n // 2 long), and each later one in place at its
+    start, through ``spare``. A chunk writes [lo, hi) and later chunks read
+    from 2 hi on, so no pair is overwritten before it is read."""
     chunk = term.shape[2]
+    if n == 1:
+        return factors(0, 1)[:, :, 0].copy()
+    m = n // 2
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        pairs = factors(2 * lo, 2 * hi)
+        _pair_products(pairs[:, :, 1::2], pairs[:, :, ::2], out=level[:, :, lo:hi],
+                       term=term[:, :, : hi - lo])
+    if n % 2:
+        level[:, :, m - 1 : m] = _pair_products(factors(n - 1, n), level[:, :, m - 1 : m])
+    n = m
     while n > 1:
         m = n // 2
         for lo in range(0, m, chunk):
             hi = min(lo + chunk, m)
-            _pair_products(stack[:, :, 2 * lo + 1 : 2 * hi : 2], stack[:, :, 2 * lo : 2 * hi : 2],
-                           out=spare[:, :, lo:hi], term=term[:, :, : hi - lo])
+            level[:, :, lo:hi] = _pair_products(
+                level[:, :, 2 * lo + 1 : 2 * hi : 2], level[:, :, 2 * lo : 2 * hi : 2],
+                out=spare[:, :, : hi - lo], term=term[:, :, : hi - lo])
         if n % 2:
-            spare[:, :, m - 1 : m] = _pair_products(stack[:, :, n - 1 : n],
-                                                    spare[:, :, m - 1 : m])
-        stack, spare, n = spare, stack, m
-    return stack[:, :, 0].copy()
+            level[:, :, m - 1 : m] = _pair_products(level[:, :, n - 1 : n],
+                                                    level[:, :, m - 1 : m])
+        n = m
+    return level[:, :, 0].copy()
 
 
-def _total_propagator(steps: StepOverlaps, dt: float) -> np.ndarray:
-    """Product of all step propagators V_k exp(-i E_k dt) V_k^T at step dt."""
-    phases, stack, spare, term = steps.scratch()
-    angles = np.multiply(steps.energies, -dt, out=phases.imag)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=angles)
-    np.multiply(steps.overlaps, phases[:, None, :], out=stack)
-    return steps.last @ _tree_product(stack, spare, term) @ steps.first
+def _total_propagator(steps: StepOverlaps, dt: float, scratch) -> np.ndarray:
+    """Product of all step propagators V_k exp(-i E_k dt) V_k^T at step dt,
+    in the scratch of ``_tree_scratch``. The factors P_k O_k are formed one
+    chunk at a time, their phases in ``term`` (d >= 2 makes room for them)."""
+    level, spare, term = scratch
+    d, n = steps.energies.shape
+
+    def factors(lo, hi):
+        phases = term.reshape(-1)[: d * (hi - lo)].reshape(d, hi - lo)
+        angles = np.multiply(steps.energies[:, lo:hi], -dt, out=phases.imag)
+        np.cos(angles, out=phases.real)
+        np.sin(angles, out=angles)
+        return np.multiply(steps.overlaps[:, :, lo:hi], phases[:, None, :],
+                           out=spare[:, :, : hi - lo])
+
+    return steps.last @ _tree_product(factors, n, level, spare, term) @ steps.first
 
 
 def _check_norm(states: np.ndarray, axis: int) -> float:
@@ -452,10 +479,12 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     (checked by ``_durations``). All durations share the step count, by
     default the largest rule of ``pairs`` at the longest one. Small models
     whose full midpoint table fits in TABLE_ENTRY_BUDGET take the tree
-    product and keep only its ``StepOverlaps``, and ``frame`` is a pair of
-    None; every other sweep takes one frame pass over all durations
-    (``_frame_states``), and ``frame`` is its (levels, leakage). The final
-    states of both get the same norm check as ``evolve``."""
+    product (``_tree_states``) and keep only its ``StepOverlaps``, and
+    ``frame`` is a pair of None; every other sweep takes one frame pass
+    over all durations (``_frame_states``), and ``frame`` is its (levels,
+    leakage). Every final state is formed here; final(t_f) raises the
+    FaquadError that forming its state raised, and gives the states of
+    both paths the same norm check as ``evolve``."""
     if n_steps is None:
         n_steps = max(default_n_steps(traj, float(np.max(tf_arr)), pair=pair)
                       for pair in pairs)
@@ -465,26 +494,54 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     dim = traj.spec.dim
 
     if dim <= TREE_PRODUCT_MAX_DIM and n_steps * dim * dim <= TABLE_ENTRY_BUDGET:
-        steps = StepOverlaps(MidpointTable(traj, n_steps))
-
-        def final(t_f):
-            state = _total_propagator(steps, t_f / n_steps) @ psi0
-            _check_norm(state, axis=0)
-            return state
-
-        return n_steps, final, (None, None)
-
-    (finals,), levels, leakage = _frame_states(traj, n_steps, psi0.reshape(dim, -1), tf_arr)
-    if psi0.ndim == 1:
-        finals = finals[:, :, 0]
+        finals, errors = _tree_states(StepOverlaps(MidpointTable(traj, n_steps)), psi0,
+                                      tf_arr, n_steps)
+        frame = (None, None)
+    else:
+        (finals,), levels, leakage = _frame_states(traj, n_steps, psi0.reshape(dim, -1), tf_arr)
+        finals = finals.reshape((len(tf_arr),) + psi0.shape)
+        errors, frame = {}, (levels, leakage)
     index = {t_f: i for i, t_f in enumerate(tf_arr.tolist())}
 
     def final(t_f):
-        state = finals[index[t_f]]
-        _check_norm(state, axis=0)
-        return state
+        i = index[t_f]
+        if i in errors:
+            raise errors[i]
+        _check_norm(finals[i], axis=0)
+        return finals[i]
 
-    return n_steps, final, (levels, leakage)
+    return n_steps, final, frame
+
+
+def _tree_states(steps: StepOverlaps, psi0, tf_arr, n_steps):
+    """(finals, errors): finals[i] is the total propagator of ``steps`` at
+    t_f = tf_arr[i] applied to psi0, and errors maps the index of a duration
+    whose product raised FaquadError to that error. Where
+    ``spectral._may_hand_off`` holds and there is more than one duration,
+    one thread of ``spectral._solver_pool`` forms the first half of them
+    and the calling thread the rest; both threads' scratch is made here,
+    on the calling thread."""
+    tf_list = tf_arr.tolist()
+    finals = np.empty((len(tf_list),) + psi0.shape, dtype=complex)
+    errors = {}
+
+    def form(indices, scratch):
+        for i in indices:
+            try:
+                finals[i] = _total_propagator(steps, tf_list[i] / n_steps, scratch) @ psi0
+            except FaquadError as exc:
+                errors[i] = exc
+
+    if len(tf_list) > 1 and _spectral._may_hand_off():
+        half = len(tf_list) // 2
+        helper = _spectral._solver_pool().submit(form, range(half), _tree_scratch(steps))
+        try:
+            form(range(half, len(tf_list)), _tree_scratch(steps))
+        finally:
+            helper.result()
+    else:
+        form(range(len(tf_list)), _tree_scratch(steps))
+    return finals, errors
 
 
 def _sweep(points, run_point, workers=1, shape=()):

@@ -13,7 +13,7 @@ grid of more than one chunk streamed on the main thread of a process with
 more than one core, two solver threads run the secular half of the next
 two chunks while the caller gauges or steps the current one; the tie
 controls, which assemble H, stay on the calling thread, and a sweep's
-worker threads solve their streams inline. ``frames``
+worker threads solve their streams inline (``_may_hand_off``). ``frames``
 is the one routine that applies the sign gauge, carried across the
 chunks. Single eigenstates, the orbital stacks of ``tg`` and the
 adiabatic projection of ``dynamics`` read every eigenvector column from
@@ -309,7 +309,8 @@ def _solve_ties(spec, lams, energies, vectors, tie, columns=None):
 
 def _solver_pool():
     """The threads that solve the secular half of ring chunks, shared by
-    the threaded streams and made on first use."""
+    the threaded streams and made on first use; a few-level sweep's tree
+    products (``dynamics._tree_states``) take one of them."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -328,15 +329,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _threaded(spec, chunks):
-    """Whether a stream of ``chunks`` chunks solves its secular halves on
-    ``_solver_pool``: a ring grid of more than one chunk, streamed on the
-    main thread of a process allowed more than one core. A sweep's worker
-    threads keep the cores busy already, so their streams solve inline."""
+def _may_hand_off():
+    """Whether the calling thread may hand work to ``_solver_pool``: it is
+    the main thread of a process allowed more than one core. A sweep's
+    worker threads keep the cores busy already, so they work inline."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return (spec.kind == _model.RING and chunks > 1 and cores > 1
-            and threading.current_thread() is threading.main_thread())
+    return cores > 1 and threading.current_thread() is threading.main_thread()
+
+
+def _threaded(spec, chunks):
+    """Whether a stream of ``chunks`` chunks solves its secular halves on
+    ``_solver_pool``: a ring grid of more than one chunk, streamed where
+    ``_may_hand_off`` holds."""
+    return spec.kind == _model.RING and chunks > 1 and _may_hand_off()
 
 
 def _solved(spec, lams, columns=None, span=None):

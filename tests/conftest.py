@@ -6,6 +6,8 @@ particular are the expensive ones and are reused by the protocol,
 many-body, and acceptance tests.
 """
 
+import os
+
 import pytest
 
 from faquad import model, protocol
@@ -59,3 +61,11 @@ def ring_faquad_n3(ring_spec):
 @pytest.fixture(scope="session")
 def ring_faquad_n9(ring_spec):
     return protocol.design_faquad(ring_spec, pair=(9, 10))
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A process allowed two cores, so that work on the main thread that may
+    go to helper threads (a ring stream of several chunks, the tree products
+    of a few-level duration sweep) takes them on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -3,6 +3,7 @@
 import inspect
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -340,13 +341,16 @@ def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_faquad,
     original = getattr(dynamics, patched)
     calls = []
 
-    def second_call_fails(*a, **kw):
+    def middle_point_fails(*a, **kw):
+        # The tree forms its durations on two threads in no fixed order, so
+        # its failure is keyed to the middle duration's step; on the other
+        # paths the second call is the middle point's.
         calls.append(None)
-        if len(calls) == 2:
+        if a[1] == points[1] / 2048 if patched == "_total_propagator" else len(calls) == 2:
             raise FaquadError("injected")
         return original(*a, **kw)
 
-    monkeypatch.setattr(dynamics, patched, second_call_fails)
+    monkeypatch.setattr(dynamics, patched, middle_point_fails)
     values, failures = sweep(*args)
     assert np.all(np.isnan(values[1]))
     assert failures == [(points[1], "injected")]
@@ -651,7 +655,8 @@ def test_total_propagator_matches_an_extended_precision_step_product(
     spec, traj = request.getfixturevalue(spec_name), request.getfixturevalue(traj_name)
     table = dynamics.MidpointTable(traj, n_steps)
     dt = t_f / n_steps
-    U = dynamics._total_propagator(dynamics.StepOverlaps(table), dt)
+    steps = dynamics.StepOverlaps(table)
+    U = dynamics._total_propagator(steps, dt, dynamics._tree_scratch(steps))
 
     v = table.eigvecs.astype(np.clongdouble)
     phases = np.exp(-1j * table.eigvals.astype(np.longdouble) * np.longdouble(dt))
@@ -680,19 +685,71 @@ def test_tree_product_is_the_pairwise_stacked_reduction(d, n):
     rng = np.random.default_rng(10 * d + n)
     mats, _ = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
 
-    # Stacked matrix products with each entry summed over the inner index
-    # in order, as the tree's elementwise multiply-adds do.
-    def ordered(a, b):
-        return (a[:, :, :, None] * b[:, None, :, :]).sum(axis=2)
-
-    expected = _pairwise_reduction(mats, ordered)
+    expected = _pairwise_reduction(mats, _ordered)
     for chunk in sorted({max(1, min(n // 2, 5)), max(1, n // 2)}):
         stack = np.ascontiguousarray(mats.transpose(1, 2, 0))
-        spare = np.empty((d, d, n // 2), dtype=complex)
+        level = np.empty((d, d, max(1, n // 2)), dtype=complex)
+        spare = np.empty((d, d, 2 * chunk), dtype=complex)
         term = np.empty((d, d, chunk), dtype=complex)
-        assert np.array_equal(dynamics._tree_product(stack, spare, term), expected)
+        product = dynamics._tree_product(lambda lo, hi: stack[:, :, lo:hi], n, level, spare, term)
+        assert np.array_equal(product, expected)
     # np.matmul rounds each product its own way (BLAS kernels).
     assert np.max(np.abs(_pairwise_reduction(mats, np.matmul) - expected)) <= 1e-13
+
+
+def _ordered(a, b):
+    # Stacked matrix products with each entry summed over the inner index
+    # in order, as the tree's elementwise multiply-adds do.
+    return (a[:, :, :, None] * b[:, None, :, :]).sum(axis=2)
+
+
+CHUNK = dynamics._TREE_CHUNK
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 3])
+def test_total_propagator_is_the_pairwise_reduction_of_the_phased_overlaps(d, n):
+    # The factors P_k O_k are formed one chunk at a time and the levels
+    # reduced in place, with the bits of the stacked reduction of the whole
+    # (n, d, d) stack overlaps * phases. 5 CHUNK + 3 steps give three chunks
+    # of pairs and levels of odd length.
+    rng = np.random.default_rng(100 * d + n)
+    vecs, _ = np.linalg.qr(rng.standard_normal((n, d, d)))
+    table = types.SimpleNamespace(eigvals=np.sort(30.0 * rng.standard_normal((n, d)), axis=1),
+                                  eigvecs=vecs)
+    steps = dynamics.StepOverlaps(table)
+    dt = 0.37
+    angles = steps.energies.T * -dt
+    phases = np.empty(angles.shape, dtype=complex)
+    phases.real, phases.imag = np.cos(angles), np.sin(angles)
+    factors = steps.overlaps.transpose(2, 0, 1) * phases[:, :, None]
+    expected = steps.last @ _pairwise_reduction(factors, _ordered) @ steps.first
+    got = dynamics._total_propagator(steps, dt, dynamics._tree_scratch(steps))
+    assert np.array_equal(got, expected)
+
+
+def test_a_two_thread_tree_sweep_holds_one_level_per_thread(two_cores, cotunneling_faquad):
+    # The fig4b shape at its default step rule up to t_f = 20: 28309 steps
+    # of d = 3. Each thread holds a (3, 3, 14154) first tree level (2.0 MB),
+    # a chunk of 8192 factors (1.2 MB) and a term (0.6 MB), beside the
+    # shared overlaps (2.0 MB). With a full phased (3, 3, 28309) stack and
+    # its half-length spare per thread, one thread alone traced 11.2 MB and
+    # two would take about 19 MB. Two threads traced 11.1 MB; the bound
+    # leaves 1.4 MB of margin.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        curve = dynamics.fidelity_sweep(cotunneling_faquad, np.linspace(0.5, 20.0, 6),
+                                        n_steps=28309)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert curve.failures == [] and np.all(np.isfinite(curve.population))
+    assert peak <= 12.5e6
 
 
 def test_tree_sweep_turns_a_broken_table_into_nan(monkeypatch, two_level_faquad):

@@ -507,13 +507,6 @@ def _recording_threads(monkeypatch, owner, attr):
     return threads
 
 
-@pytest.fixture
-def two_cores(monkeypatch):
-    """A process allowed two cores, so that a ring stream of several chunks
-    on the main thread takes the solver threads on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 # A K = 20 ring grid of 180 controls, 155 to a default chunk, with tie
 # controls (Omega = 0 and pi, which the calling thread solves) at the ends
 # of chunks of 155 and of 7 controls.
@@ -616,16 +609,52 @@ def test_a_failed_chunk_names_its_control_and_the_pool_goes_on(monkeypatch, two_
 def test_traced_functions_run_on_the_calling_thread(tmp_path, monkeypatch, two_cores):
     # bench/tracing.py wraps numpy.linalg.eigh and model.hamiltonian and
     # nests its spans on one stack, so neither may run on a solver thread
-    # during a reduced fig6a; the secular half of its chunks does.
+    # during a reduced fig6a, whose chunks' secular halves do, or during a
+    # few-level sweep-tf, whose tree products run on two threads.
     monkeypatch.delenv("FAQUAD_WORKERS", raising=False)
     dense = _recording_threads(monkeypatch, np.linalg, "eigh")
     assembly = _recording_threads(monkeypatch, model, "hamiltonian")
     secular = _recording_threads(monkeypatch, spectral, "_ring_secular")
+    tree = _recording_threads(monkeypatch, dynamics, "_total_propagator")
     assert cli.main(["figure", "fig6a", "--K", "20", "--n-steps", "400", "--tf-count", "2",
                      "--out", str(tmp_path / "out")]) == 0
     caller = threading.get_ident()
     assert dense == assembly == {caller}
     assert secular - {caller}
+    assert cli.main(["sweep-tf", "--model", "bose-hubbard-3", "--U", "22.3", "--lambda-start",
+                     "66.7", "--lambda-end", "-66.7", "--protocol", "faquad", "--tf-min", "1",
+                     "--tf-max", "4", "--tf-count", "4", "--n-steps", "2000",
+                     "--out", str(tmp_path / "few")]) == 0
+    assert dense == assembly == {caller}
+    assert caller in tree and len(tree) == 2
+
+
+@pytest.mark.parametrize("case", ["two-level", "bose-hubbard-3", "ring-K2", "ring-K3"])
+def test_threaded_tree_finals_are_the_serial_finals(monkeypatch, two_cores, request, case):
+    # On the main thread of a process allowed two cores, a helper thread
+    # forms half of the durations' products; every final state keeps the
+    # bits it has with all of them formed on the calling thread.
+    if case.startswith("ring"):
+        spec = model.ring(u0=0.5, K=int(case[-1]))
+        traj = protocol.linear_ramp(spec)
+        psi0 = tg.stack_at(spec, spec.lambda_start, 3)
+    else:
+        traj = request.getfixturevalue(
+            "two_level_faquad" if case == "two-level" else "cotunneling_faquad")
+        psi0 = dynamics._level_vector(traj, dynamics.GROUND, 0.0).astype(complex)
+    tf_arr = np.linspace(0.5, 6.0, 7)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial_threads = _recording_threads(patch, dynamics, "_total_propagator")
+        _, serial, frame = dynamics._final_states(traj, psi0, tf_arr, 3001)
+        want = [serial(t_f) for t_f in tf_arr]
+    threads = _recording_threads(monkeypatch, dynamics, "_total_propagator")
+    _, threaded, _ = dynamics._final_states(traj, psi0, tf_arr, 3001)
+    assert frame == (None, None)
+    assert serial_threads == {threading.get_ident()}
+    assert len(threads) == 2 and threading.get_ident() in threads
+    for t_f, state in zip(tf_arr, want):
+        assert np.array_equal(threaded(t_f), state)
 
 
 @pytest.mark.parametrize("where", ["sweep-workers", "one-core"])
