@@ -19,6 +19,7 @@ identical configuration reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -641,7 +642,11 @@ def _add_common_flags(parser):
         parser.add_argument(flag, **options)
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: building it adds
+    every flag of every subcommand, and ``parse_args`` keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="faquad",
         description="Design and simulate fast quasi-adiabatic control schedules.",

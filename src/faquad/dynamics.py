@@ -46,9 +46,12 @@ one real (M, M) product shared by all durations of a sweep, then the
 phases P_k of each duration; a state is V_k[:, :M] c at the steps asked
 for and at the last. The eigenvectors come from the chunk stream of
 ``spectral`` one chunk of steps at a time, and only their lowest M
-columns are kept, so no eigenvector table is held; for a ring pass on
-the main thread, its two solver threads solve the next chunks while that
-thread steps this one. The leakage, 1 minus the smallest squared column
+columns are kept; for a ring pass on the main thread, its two solver
+threads solve the next chunks while that thread steps this one. The pass
+steps each chunk where the stream yields it and then keeps only the
+chunk's last frame, the boundary frame, which gives O_k for the first
+step of the next chunk; so no eigenvector table and no copy of a chunk
+is held. The leakage, 1 minus the smallest squared column
 norm of c in its lowest M - FRAME_GUARD levels, is measured at the end:
 M starts at FRAME_LEVELS and doubles while the leakage exceeds LEAKAGE_LIMIT, up to
 M = dim, the exact untruncated case; an M that the start's projection on
@@ -268,6 +271,9 @@ def _tree_product(factors, n: int, level: np.ndarray, spare: np.ndarray,
         m = n // 2
         for lo in range(0, m, chunk):
             hi = min(lo + chunk, m)
+            # Through ``spare``: writing in place costs more, since numpy
+            # copies a ufunc's inputs whenever its output lies within their
+            # memory bounds.
             level[:, :, lo:hi] = _pair_products(
                 level[:, :, 2 * lo + 1 : 2 * hi : 2], level[:, :, 2 * lo : 2 * hi : 2],
                 out=spare[:, :, : hi - lo], term=term[:, :, : hi - lo])
@@ -374,8 +380,10 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
     The eigenvectors come one chunk of steps at a time from
     ``spectral._solved``, which keeps only their lowest ``levels`` columns
     and, for a ring pass on the main thread, solves the next chunks on its
-    solver threads while this one steps; the previous chunk's last frame gives the overlap across the
-    boundary."""
+    solver threads while this one steps. Each chunk is stepped where the
+    stream yields it; a copy of its last frame, the boundary frame, gives
+    the overlap across the next boundary, and the chunk is dropped before
+    the next one is solved."""
     spec = traj.spec
     lams = _midpoint_controls(traj, n_steps)
     saves = [n_steps] if saves is None else list(saves)
@@ -401,13 +409,7 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
     span = max(1, min(_CHUNK, _FRAME_CHUNK_ENTRIES // (width * (width + 4 * len(dts)))))
     for lo, hi, energies, vectors in _spectral._solved(spec, lams, range(levels), span):
         if lo == 0:
-            # frames[i] holds V_{lo-1+i}[:, :M] while the chunk from step lo
-            # runs; the first chunk is the longest.
-            frames = np.empty((hi + 1, dim, levels))
-        frames[1 : hi - lo + 1] = vectors
-        del vectors
-        if lo == 0:
-            work[:] = (parts @ _padded(frames[1], (dim, width))).reshape(m, 2, width)
+            work[:] = (parts @ _padded(vectors[0], (dim, width))).reshape(m, 2, width)
         # Rotation by exp(-i E dt) acting on (re, im): cos on both parts,
         # plus (-sin, sin) on the swapped (im, re).
         angles = np.zeros((hi - lo, len(dts), width))
@@ -418,11 +420,14 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
         np.sin(angles, out=signed[:, :, 0, 1])
         del angles
         np.negative(signed[:, :, 0, 1], out=signed[:, :, 0, 0])
-        # O_k^T = V_{k-1}[:, :M]^T V_k[:, :M]; step 0 has none.
+        # O_k^T = V_{k-1}[:, :M]^T V_k[:, :M]; step 0 has none, and the
+        # chunk's first step takes V_{lo-1} from the boundary frame.
         first = max(lo, 1)
         overlaps = np.zeros((hi - first, width, width))
-        np.matmul(frames[first - lo : hi - lo].transpose(0, 2, 1),
-                  frames[first - lo + 1 : hi - lo + 1], out=overlaps[:, :levels, :levels])
+        if lo:
+            np.matmul(boundary.T, vectors[0], out=overlaps[0, :levels, :levels])
+        np.matmul(vectors[:-1].transpose(0, 2, 1), vectors[1:],
+                  out=overlaps[lo + 1 - first :, :levels, :levels])
         for k in range(lo, hi):
             if k:
                 np.matmul(flat, overlaps[k - first], out=work_flat)
@@ -430,11 +435,12 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
             np.multiply(work[:, :, ::-1], signed[k - lo], out=turn)
             coef += turn
             if k + 1 == saves[pos]:
-                bare = flat @ _padded(frames[k - lo + 1].T, (width, -(-dim // 8) * 8))
+                bare = flat @ _padded(vectors[k - lo].T, (width, -(-dim // 8) * 8))
                 bare = bare.reshape(coef.shape[:3] + (-1,))[..., :dim]
                 states[pos] = bare[:, :, 0] + 1j * bare[:, :, 1]
                 pos += 1
-        frames[0] = frames[hi - lo]
+        boundary = vectors[-1].copy()
+        del vectors
     kept = coef[..., : levels if levels == dim else levels - FRAME_GUARD]
     leakage = float(1.0 - np.min(np.sum(kept * kept, axis=(2, 3))))
     return states.transpose(0, 1, 3, 2), leakage

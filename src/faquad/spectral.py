@@ -6,20 +6,24 @@ against the previous grid point. ``eigh`` is the one-call eigensolver,
 and this the one module that assembles H: the midpoint tables and step
 rule of ``dynamics``, the gap integral of ``perturbation`` and the
 ``spectrum`` subcommand read their energies from it. A long grid is
-solved as one chunk stream, ``_solved``, which ``frames`` and the frame
-pass of ``dynamics`` iterate: it yields the grid one chunk of controls at
-a time with only the eigenvector columns its caller keeps. For a ring
-grid of more than one chunk streamed on the main thread of a process with
-more than one core, two solver threads run the secular half of the next
-two chunks while the caller gauges or steps the current one; the tie
-controls, which assemble H, stay on the calling thread, and a sweep's
-worker threads solve their streams inline (``_may_hand_off``). ``frames``
-is the one routine that applies the sign gauge, carried across the
-chunks. Single eigenstates, the orbital stacks of ``tg`` and the
+solved as one chunk stream, ``_solved``, which the gauged stream below
+and the frame pass of ``dynamics`` iterate: it yields the grid one chunk
+of controls at a time with only the eigenvector columns its caller
+keeps. For a ring grid of more than one chunk streamed on the main
+thread of a process with more than one core, two solver threads run the
+secular half of the next two chunks while the caller gauges or steps the
+current one; the tie controls, which assemble H, stay on the calling
+thread, and a sweep's worker threads solve their streams inline
+(``_may_hand_off``). ``_gauged`` is the one routine that applies the
+sign gauge: it gauges the stream's chunks in place and carries the last
+gauged row of each chunk into the next. ``frames`` puts its chunks
+together; single eigenstates, the orbital stacks of ``tg`` and the
 adiabatic projection of ``dynamics`` read every eigenvector column from
-it; ``track_frames`` keeps the columns of its level pairs only, so a
-design track holds no eigenvector table. Level couplings are computed
-with the off-diagonal Hellmann-Feynman identity
+it. ``track_frames`` iterates the same gauged stream with the columns of
+its level pairs only and takes the couplings chunk by chunk, so a design
+track holds nothing sized by its grid but its energies and couplings.
+Level couplings are computed with the off-diagonal Hellmann-Feynman
+identity
 
     <phi_i | d/dlambda phi_j> = <phi_i | dH/dlambda | phi_j> / (E_j - E_i)
 
@@ -368,12 +372,15 @@ def _solved(spec, lams, columns=None, span=None):
     # Kept columns are C order (n, dim, m), as take returns them, so a
     # column stays strided as in the whole array: track_frames' einsum sums
     # a contiguous column in another order, which would move the couplings'
-    # last bits.
+    # last bits. The stream drops a chunk once it has yielded it, so a
+    # caller that drops it too frees it before the next chunk is solved.
     if not _threaded(spec, len(bounds)):
         for lo, hi in bounds:
             energies, vectors = eigh(spec, lams[lo:hi])
-            yield lo, hi, energies, (vectors if columns is None
-                                     else np.take(vectors, columns, axis=2))
+            if columns is not None:
+                vectors = np.take(vectors, columns, axis=2)
+            yield lo, hi, energies, vectors
+            del energies, vectors
         return
     pool = _solver_pool()
     ahead = deque()
@@ -384,6 +391,7 @@ def _solved(spec, lams, columns=None, span=None):
                 ahead.append((out, pool.submit(_ring_secular, spec, lams[a:b], *out, columns)))
             out, future = ahead.popleft()
             yield (lo, hi) + _solve_ties(spec, lams[lo:hi], *out, future.result(), columns)
+            del out
     finally:
         # A failed chunk or a consumer that stops early leaves no solve
         # running past the stream.
@@ -415,6 +423,26 @@ def _sign_gauge(vectors: np.ndarray) -> None:
     vectors *= signs[:, None, :]
 
 
+def _gauged(spec, lams, columns=None):
+    """Yield the chunks (lo, hi, energies, vectors) of ``_solved`` with
+    their eigenvector columns in the sign gauge of ``frames``, gauged in
+    place: the first row of the grid by ``gauge_fix_columns``, the first
+    row of every later chunk against the last gauged row of the chunk
+    before, which the stream carries, and the rest by ``_sign_gauge``."""
+    last = None
+    for lo, hi, energies, vectors in _solved(spec, lams, columns):
+        if last is None:
+            vectors[0] = gauge_fix_columns(vectors[0])
+        else:
+            # The overlap of two rows as ``_sign_gauge`` forms it across a
+            # chunk, summed in the same order.
+            flip = np.einsum("ij,ij->j", last, vectors[0]) < 0.0
+            vectors[0][:, flip] *= -1.0
+        _sign_gauge(vectors)
+        last = vectors[-1].copy()
+        yield lo, hi, energies, vectors
+
+
 def frames(spec: _model.ModelSpec, lams, columns=None):
     """Energies (n, dim) and eigenvector columns (n, dim, m) of H at each
     control of the 1-d array ``lams``, from ``eigh``, in the package's sign
@@ -422,19 +450,15 @@ def frames(spec: _model.ModelSpec, lams, columns=None):
     and each later column is flipped where its overlap with the column
     before is negative, so that no overlap is negative; a column with zero
     overlap keeps its sign as solved. The m columns kept are the 0-based
-    levels ``columns``, or all dim of them when None. The grid comes in
-    chunks from ``_solved``; each chunk after the first is gauged against
-    the previous chunk's last gauged row, so the chunks give the gauge of
+    levels ``columns``, or all dim of them when None. The chunks of the
+    gauged stream ``_gauged`` are put together, so they give the gauge of
     one solve of the whole grid."""
     lams = _grid(lams)
-    for lo, hi, chunk_energies, chunk in _solved(spec, lams, columns):
+    for lo, hi, chunk_energies, chunk in _gauged(spec, lams, columns):
         if lo == 0:
-            chunk[0] = gauge_fix_columns(chunk[0])
             energies = np.empty((len(lams), spec.dim))
             vectors = np.empty((len(lams),) + chunk.shape[1:])
         energies[lo:hi], vectors[lo:hi] = chunk_energies, chunk
-        # Row lo - 1 is gauged already and carries the gauge into the chunk.
-        _sign_gauge(vectors[max(lo - 1, 0) : hi])
     return energies, vectors
 
 
@@ -448,9 +472,10 @@ def eigenstate(spec: _model.ModelSpec, lam: float, level: int = 1) -> np.ndarray
 
 def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     """Diagonalize along ``grid`` with continuity sign-fixing and compute
-    the requested pair couplings. The grid is solved in chunks and only the
-    eigenvector columns of the levels in ``pairs`` are kept, in the gauge
-    of ``frames``.
+    the requested pair couplings. The couplings are taken one chunk at a
+    time from the gauged stream ``_gauged``, which keeps only the
+    eigenvector columns of the levels in ``pairs``, in the gauge of
+    ``frames``; no eigenvector is kept past its chunk.
 
     Parameters
     ----------
@@ -478,10 +503,16 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
     pairs = tuple(dict.fromkeys(_canonical_pair(p, spec.dim) for p in pairs))
     levels = sorted({level for pair in pairs for level in pair})
     column = {level: n for n, level in enumerate(levels)}
-    energies, vectors = frames(spec, grid, [level - 1 for level in levels])
-    # dH/dlambda is diagonal, so the coupling numerator is an O(dim)
-    # contraction per grid point.
-    dh = _model.d_hamiltonian_d_lambda(spec, grid)
+    energies = np.empty((len(grid), spec.dim))
+    numers = {pair: np.empty(len(grid)) for pair in pairs}
+    for lo, hi, chunk_energies, vectors in _gauged(spec, grid, [level - 1 for level in levels]):
+        energies[lo:hi] = chunk_energies
+        # dH/dlambda is diagonal, so the coupling numerator is an O(dim)
+        # contraction per grid point.
+        dh = _model.d_hamiltonian_d_lambda(spec, grid[lo:hi])
+        for (i, j) in pairs:
+            numers[(i, j)][lo:hi] = np.einsum("nd,nd->n", vectors[:, :, column[i]] * dh,
+                                              vectors[:, :, column[j]])
 
     couplings = {}
     spread = np.maximum(energies[:, -1] - energies[:, 0], 1.0)
@@ -491,8 +522,7 @@ def track_frames(spec: _model.ModelSpec, grid, pairs=((1, 2),)) -> FrameTrack:
         if np.any(bad):
             k = int(np.argmax(bad))
             raise DegenerateGap(grid[k], (i, j))
-        numer = np.einsum("nd,nd->n", vectors[:, :, column[i]] * dh, vectors[:, :, column[j]])
-        couplings[(i, j)] = numer / gap
+        couplings[(i, j)] = numers[(i, j)] / gap
 
     return FrameTrack(
         spec=spec,

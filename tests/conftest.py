@@ -7,6 +7,7 @@ many-body, and acceptance tests.
 """
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -69,3 +70,21 @@ def two_cores(monkeypatch):
     go to helper threads (a ring stream of several chunks, the tree products
     of a few-level duration sweep) takes them on any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def traced_peak(fn):
+    """(fn(), peak): ``peak`` is the high-water mark in bytes of the memory
+    that tracemalloc traces during the call, above what it traced when the
+    call began. Tracing starts here if it is off and stops after."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import faquad
 from faquad import cli, dynamics
+
+from conftest import traced_peak
 
 TWO_LEVEL_FLAGS = ["--model", "two-level", "--U", "22.3",
                    "--lambda-start", "66.7", "--lambda-end", "0"]
@@ -92,6 +93,20 @@ def test_missing_model_is_rejected(tmp_path):
 def test_small_ring_truncation_rejected(tmp_path):
     assert cli.main(["design", "--model", "ring", "--u0", "0.5", "--K", "6",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # The parser is built once; a good call leaves nothing in it that lets a
+    # later bad flag through or hands a flag to a later call.
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["design", *TWO_LEVEL_FLAGS, "--out", str(tmp_path / "a")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", *TWO_LEVEL_FLAGS, "--no-such-flag", "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    assert cli.main(["design", "--out", str(tmp_path / "c")]) == 2
+    assert cli._flag_config(cli._build_parser().parse_args(["design"])) == {}
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, capsys):
@@ -254,17 +269,8 @@ def test_spectrum_streams_its_grid(tmp_path, monkeypatch):
     out = tmp_path / "sp"
     args = ["spectrum", "--model", "ring", "--u0", "0.5", "--K", "40", "--points", "4000",
             "--levels", "1", "--out", str(out)]
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert cli.main(args) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    code, peak = traced_peak(lambda: cli.main(args))
+    assert code == 0
     assert peak <= 8e6
     _, rows = _read_csv(out / "spectrum.csv")
     spec = model.ring(u0=0.5, K=40)

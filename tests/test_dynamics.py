@@ -2,7 +2,7 @@
 
 import inspect
 import math
-import tracemalloc
+import os
 import types
 
 import numpy as np
@@ -10,6 +10,8 @@ import pytest
 
 from faquad import dynamics, model, perturbation, protocol, spectral, tg
 from faquad.errors import FaquadError, StepSizeTooCoarse
+
+from conftest import traced_peak
 
 PI_PULSE_TIME = math.pi / (2.0 * math.sqrt(2.0))
 
@@ -508,6 +510,48 @@ def test_frame_pass_gives_a_column_the_same_bits_at_any_stack_width():
                 assert np.array_equal(narrow, wide[:, :, :m]), (levels, len(tf_arr), m)
 
 
+@pytest.mark.parametrize("cores", [2, 1], ids=["threaded", "inline"])
+@pytest.mark.parametrize("levels", [dynamics.FRAME_LEVELS, 41], ids=["truncated", "exact"])
+def test_frame_pass_steps_chunks_of_seven_as_one(monkeypatch, cores, levels):
+    # The pass steps each chunk of the stream where it lies and carries only
+    # the chunk's last frame across the boundary: chunks of seven steps give
+    # the states of one chunk to the bit, saved after every step (on each
+    # boundary and on both sides of it), and the same leakage.
+    spec = model.ring(u0=0.5, K=20)
+    traj = protocol.linear_ramp(spec)
+    stack = tg.stack_at(spec, spec.lambda_start, 9)
+    tf_arr, n_steps = np.array([2.0, 5.0, 9.0]), 60
+    saves = range(1, n_steps + 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_CHUNK_ENTRIES", n_steps * spec.dim ** 2)
+        whole, whole_leakage = dynamics._frame_pass(traj, n_steps, stack, tf_arr, levels, saves)
+    monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 7 * spec.dim ** 2)
+    chunked, leakage = dynamics._frame_pass(traj, n_steps, stack, tf_arr, levels, saves)
+    assert chunked.shape == (n_steps, len(tf_arr), spec.dim, 9)
+    assert np.array_equal(chunked, whole)
+    assert leakage == whole_leakage
+
+
+@pytest.mark.parametrize("cores,bound", [(2, 4.5e6), (1, 4.2e6)], ids=["threaded", "inline"])
+def test_ring_frame_pass_holds_no_frame_buffer(monkeypatch, cores, bound):
+    # One frame pass of the ring-duration shape: K = 40, an N = 9 stack, 3
+    # durations, 4000 steps in 32 levels. It steps each chunk where the stream
+    # yields it and keeps the chunk's last frame alone; the stream drops a
+    # chunk before it solves the next. Traced peaks: 3.81 MB with the solver
+    # threads (three chunks in flight) and 3.47 MB inline. Copying each chunk
+    # into a (40, 81, 32) frame buffer traced 5.14 and 5.70 MB. Each bound is
+    # its peak plus about 0.7 MB.
+    spec = model.ring(u0=0.5, K=40)
+    traj = protocol.linear_ramp(spec)
+    stack = tg.stack_at(spec, spec.lambda_start, 9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    (states, _), peak = traced_peak(lambda: dynamics._frame_pass(
+        traj, 4000, stack, np.array([30.0, 60.0, 90.0]), dynamics.FRAME_LEVELS))
+    assert states.shape == (1, 3, spec.dim, 9)
+    assert peak <= bound
+
+
 @pytest.mark.parametrize("K,levels", [(40, 64), (20, 41)])
 def test_frame_levels_double_while_the_stack_leaks(K, levels):
     # N = 31 orbitals fill the frame of FRAME_LEVELS = 32 up to its guard,
@@ -558,18 +602,10 @@ def test_ring_duration_sweep_holds_only_the_frame_levels():
         shapes.append(self.eigvecs.shape)
 
     traj = protocol.linear_ramp(model.ring(u0=0.5, K=40))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics.MidpointTable, "__init__", recording_init)
-            curves = tg.duration_sweep([3, 9], traj, [30.0, 60.0, 90.0], n_steps=4000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics.MidpointTable, "__init__", recording_init)
+        curves, peak = traced_peak(
+            lambda: tg.duration_sweep([3, 9], traj, [30.0, 60.0, 90.0], n_steps=4000))
     assert curves[0].frame_levels == dynamics.FRAME_LEVELS
     assert shapes == []
     assert peak <= 110e6
@@ -736,18 +772,8 @@ def test_a_two_thread_tree_sweep_holds_one_level_per_thread(two_cores, cotunneli
     # its half-length spare per thread, one thread alone traced 11.2 MB and
     # two would take about 19 MB. Two threads traced 11.1 MB; the bound
     # leaves 1.4 MB of margin.
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        curve = dynamics.fidelity_sweep(cotunneling_faquad, np.linspace(0.5, 20.0, 6),
-                                        n_steps=28309)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    curve, peak = traced_peak(lambda: dynamics.fidelity_sweep(
+        cotunneling_faquad, np.linspace(0.5, 20.0, 6), n_steps=28309))
     assert curve.failures == [] and np.all(np.isfinite(curve.population))
     assert peak <= 12.5e6
 

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +19,8 @@ from scipy.linalg import cython_lapack
 import faquad
 from faquad import cli, dynamics, model, protocol, spectral, tg
 from faquad.errors import DegenerateGap, FaquadError
+
+from conftest import traced_peak
 
 
 def _two_level_gap(spec, lam):
@@ -251,19 +252,24 @@ def test_streamed_track_matches_the_whole_frames(monkeypatch, ring_spec, cotunne
 def test_design_track_holds_no_eigenvector_table(ring_spec):
     # The K = 40 design track of fig6a: whole (2001, 81, 81) frames would
     # take 105 MB, and the solver's buffers 5 MB more.
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        track = protocol.design_track(ring_spec, [(3, 4), (9, 10)])
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    track, peak = traced_peak(lambda: protocol.design_track(ring_spec, [(3, 4), (9, 10)]))
     assert track.pairs == ((3, 4), (9, 10))
     assert peak <= 25e6
+
+
+@pytest.mark.parametrize("cores,bound", [(2, 3.0e6), (1, 4.5e6)], ids=["threaded", "inline"])
+def test_design_track_holds_no_grid_sized_vectors(monkeypatch, ring_spec, cores, bound):
+    # The same track takes its couplings chunk by chunk from the gauged
+    # stream, so beside the (2001, 81) energies (1.3 MB) it holds only the
+    # chunks in flight. Traced peaks: 2.36 MB with the solver threads and
+    # 3.78 MB inline, where eigh returns all 81 columns of a 39-control chunk
+    # (2.0 MB) before four are taken. Gauged (2001, 81, 4) vectors, a
+    # full-grid dH and the coupling product traced 9.2 and 11.0 MB. Each
+    # bound is its peak plus about 0.7 MB.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    track, peak = traced_peak(lambda: protocol.design_track(ring_spec, [(3, 4), (9, 10)]))
+    assert track.pairs == ((3, 4), (9, 10))
+    assert peak <= bound
 
 
 # The ring's secular solver (``spectral.eigh``) against numpy's dense eigh.
