@@ -102,7 +102,8 @@ _FLAGS = (
     ("--tf-count", "sweep.tf_count", {"type": int}, _at_least(2)),
     ("--eps", "sweep.epsilons", {"action": "append", "type": float}, _at_least(-1)),
     ("--N", "sweep.N", {"action": "append", "type": int}, _ODD),
-    ("--n-steps", "integrator.n_steps", {"type": int}, _at_least(1)),
+    ("--n-steps", "integrator.n_steps",
+     {"type": int, "help": "CF4 steps, two eigendecompositions each"}, _at_least(1)),
     ("--n-save", "integrator.n_save", {"type": int}, _at_least(2)),
     ("--start", "start", {"type": _int_or_str}, _LEVEL),
     ("--target", "target", {"type": _int_or_str}, _LEVEL),
@@ -532,14 +533,14 @@ def builtin_figures() -> dict:
         "fig6a": {
             "model": dict(ring_dyn),
             "sweep": {"tf_min": 5.0, "tf_max": 120.0, "tf_count": 40, "N": [3, 9]},
-            "integrator": {"n_steps": 4000},
+            "integrator": {"n_steps": 2000},
             "steps": [("sweep-tf", {"protocol": {"kind": "faquad"}}, None)],
         },
         "fig6b": {
             "model": dict(ring_dyn),
             "sweep": {"tf": 90.0, "N": [3, 9],
                       "epsilons": [round(-0.1 + 0.02 * i, 2) for i in range(11)]},
-            "integrator": {"n_steps": 4000},
+            "integrator": {"n_steps": 2000},
             "steps": [("sweep-eps", {"protocol": {"kind": "faquad"}}, None)],
         },
     }

@@ -1,31 +1,50 @@
 """Time evolution under a timed control and adiabatic-frame analysis.
 
-The integrator freezes the Hamiltonian at each step midpoint and applies
-its exact exponential through an eigendecomposition,
+The integrator is the fourth-order commutator-free scheme CF4 (Blanes &
+Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput.
+Phys. 230, 5930 (2011)). A step k of length h = t_f/n_steps is
 
-    psi <- V exp(-i E dt / hbar) V^T psi,
+    U_k = exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)),
 
-which is unitary by construction (second order in the step for a
-time-dependent generator). Midpoint control values depend only on the
-normalized clock s = (k + 1/2)/n_steps, so one set of eigendecompositions
-serves every duration of a sweep. They come from ``spectral.eigh``, which
-solves the ring by its secular equation, O(dim^2) per matrix.
+the right-hand factor acting first, with H1 and H2 the Hamiltonian at the
+Gauss nodes s = (k + 1/2 -/+ sqrt(3)/6)/n_steps of the normalized clock
+and a1, a2 = (3 -/+ 2 sqrt(3))/12 (the other order is only second order).
+Every model here is affine in the control, apart from a multiple of the
+identity on the ring, whose diagonal (k - Omega/2pi)^2 has an Omega^2 term
+that is the same on every row. Since a1 + a2 = 1/2, each exponent is
+
+    a H1 + b H2 = (H(lam_bar) + 2c I) / 2,   lam_bar = 2 (a lam1 + b lam2),
+
+for (a, b) = (a2, a1) in the first factor and (a1, a2) in the second, with
+c = 0 for the few-level models and, on the ring with x = Omega/2pi,
+c = a x1^2 + b x2^2 - 2 (a x1 + b x2)^2 = -(x1 - x2)^2 / 24 for both
+factors (``_cf4_exponents``). So a CF4 step is two sub-steps of dt =
+t_f/(2 n_steps), each the exact exponential of one Hamiltonian through its
+eigendecomposition,
+
+    psi <- V exp(-i (E + 2c) dt) V^T psi,
+
+which is unitary by construction. The 2 n_steps controls lam_bar and
+shifts 2c depend only on the normalized clock (``_step_controls``), so one
+set of eigendecompositions serves every duration of a sweep. They come
+from ``spectral.eigh``, which solves the ring by its secular equation,
+O(dim^2) per matrix. A run at n_steps takes 2 n_steps eigendecompositions.
 
 Every function here reads the model from the trajectory, timed control
 or evolution result it is given (``traj.spec``), so a model and a schedule
 made for another model cannot be combined.
 
-A state is stepped along one of two paths. Small systems (dim <=
-TREE_PRODUCT_MAX_DIM) collapse the whole product of step propagators of
-a sweep with a pairwise tree reduction instead of a Python loop over
-steps. The product is regrouped as
+A state is stepped along one of two paths, both over the 2 n_steps
+sub-steps. Small systems (dim <= TREE_PRODUCT_MAX_DIM) collapse the whole
+product of sub-step propagators of a sweep with a pairwise tree reduction
+instead of a Python loop over steps. The product is regrouped as
 
     V_{n-1} P_{n-1} O_{n-1} ... O_1 P_0 V_0^T,   O_k = V_k^T V_{k-1},
 
-so only the diagonal phases P_k = exp(-i E_k dt) depend on the duration:
-the real overlaps O_k are formed once from a full ``MidpointTable``
-(``StepOverlaps``), and a duration costs the phases, one scaling of the
-overlap rows and the tree product. The factors are stored
+so only the diagonal phases P_k = exp(-i (E_k + 2c_k) dt) depend on the
+duration: the real overlaps O_k are formed once from a full
+``MidpointTable`` (``StepOverlaps``), and a duration costs the phases, one
+scaling of the overlap rows and the tree product. The factors are stored
 structure-of-arrays, with the step index last, so each level of the tree
 is a few elementwise multiply-adds on the component vectors of the
 factors. They are formed _TREE_CHUNK pairs at a time straight into the
@@ -37,25 +56,25 @@ pool takes half of the durations, with scratch made on the calling
 thread.
 
 Everything else, ``evolve`` included, is one frame pass: the state is
-stepped in the frame of the lowest M adiabatic levels. With
-psi = V_k[:, :M] c, a step is
+stepped in the frame of the lowest M adiabatic levels of the sub-step
+Hamiltonians. With psi = V_k[:, :M] c, a sub-step is
 
     c <- P_k O_k c,   O_k = V_k[:, :M]^T V_{k-1}[:, :M],
 
 one real (M, M) product shared by all durations of a sweep, then the
-phases P_k of each duration; a state is V_k[:, :M] c at the steps asked
-for and at the last. The eigenvectors come from the chunk stream of
-``spectral`` one chunk of steps at a time, and only their lowest M
+phases P_k of each duration; a state is V_k[:, :M] c after the steps asked
+for and after the last. The eigenvectors come from the chunk stream of
+``spectral`` one chunk of sub-steps at a time, and only their lowest M
 columns are kept; for a ring pass on the main thread, its two solver
 threads solve the next chunks while that thread steps this one. The pass
 steps each chunk where the stream yields it and then keeps only the
 chunk's last frame, the boundary frame, which gives O_k for the first
-step of the next chunk; so no eigenvector table and no copy of a chunk
+sub-step of the next chunk; so no eigenvector table and no copy of a chunk
 is held. The leakage, 1 minus the smallest squared column
 norm of c in its lowest M - FRAME_GUARD levels, is measured at the end:
 M starts at FRAME_LEVELS and doubles while the leakage exceeds LEAKAGE_LIMIT, up to
 M = dim, the exact untruncated case; an M that the start's projection on
-the first step's frame already rules out is skipped. Truncation moves ring fidelities at
+the first sub-step's frame already rules out is skipped. Truncation moves ring fidelities at
 the 1e-10 level against stepping in the bare basis. A small-model sweep
 whose full table does not fit in TABLE_ENTRY_BUDGET takes the frame pass
 at M = dim.
@@ -75,9 +94,12 @@ from . import spectral as _spectral
 from .errors import FaquadError, StepSizeTooCoarse
 
 NORM_DRIFT_LIMIT = 1e-9
-MIN_STEPS = 2000
-# Largest midpoint table of the tree product kept in memory, in float64
-# eigenvector entries (n_steps x dim^2); a sweep whose table does not fit
+# The default step rule: STEPS_PER_PERIOD CF4 steps per period of the
+# fastest gap, and never fewer than MIN_STEPS.
+STEPS_PER_PERIOD = 25
+MIN_STEPS = 250
+# Largest step table of the tree product kept in memory, in float64
+# eigenvector entries (2 n_steps x dim^2); a sweep whose table does not fit
 # takes the frame pass at M = dim instead.
 TABLE_ENTRY_BUDGET = 60_000_000
 # Dimension at or below which sweeps collapse step propagators by tree
@@ -101,6 +123,11 @@ _CHUNK = 512
 _FRAME_CHUNK_ENTRIES = 2 ** 18
 # Factor pairs per vector operation of the tree product; bounds its scratch.
 _TREE_CHUNK = 4096
+# CF4: the weights a1, a2 = (3 -/+ 2 sqrt 3)/12 of the two exponents, and
+# the offset of the Gauss nodes from the middle of a step, in steps.
+_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+_NODE = math.sqrt(3.0) / 6.0
 
 GROUND = "ground"
 
@@ -170,38 +197,63 @@ def bare_state(spec: _model.ModelSpec, index: int) -> np.ndarray:
 
 
 def default_n_steps(traj: _protocol.NormalizedTrajectory, t_f: float, pair=None) -> int:
-    """Step count resolving the fastest pair phase: max(2000,
-    ceil(200 * t_f * max_gap / 2 pi)) with the gap probed along the
-    trajectory for the designed (or given) level pair, in either order."""
+    """CF4 step count resolving the fastest pair phase: max(MIN_STEPS,
+    ceil(STEPS_PER_PERIOD * t_f * max_gap / 2 pi)) with the gap probed
+    along the trajectory for the designed (or given) level pair, in either
+    order."""
     if pair is None:
         pair = traj.pair if traj.pair is not None else (1, 2)
     lower, upper = _spectral._canonical_pair(pair, traj.spec.dim)
     lams = np.unique(traj.evaluate(np.linspace(0.0, 1.0, 129)))
     energies = _spectral.eigh(traj.spec, lams)[0]
     gap_max = float(np.max(energies[:, upper - 1] - energies[:, lower - 1]))
-    return int(max(MIN_STEPS, math.ceil(200.0 * t_f * gap_max / (2.0 * math.pi))))
+    return int(max(MIN_STEPS, math.ceil(STEPS_PER_PERIOD * t_f * gap_max / (2.0 * math.pi))))
 
 
-def _midpoint_controls(traj, n_steps):
-    """Control values at the step midpoints s = (k + 1/2)/n_steps."""
-    return np.asarray(traj.evaluate((np.arange(n_steps) + 0.5) / n_steps), dtype=float)
+def _cf4_exponents(spec: _model.ModelSpec, lam1, lam2):
+    """(controls, shifts), each of shape (2, n): the CF4 exponents of the n
+    steps whose Gauss-node controls are ``lam1`` and ``lam2`` (arrays of n),
+    as a H(lam1) + b H(lam2) = (H(controls) + shifts I) / 2, with row 0 the
+    factor that acts first, (a, b) = (a2, a1), and row 1 the second,
+    (a, b) = (a1, a2). The shift is zero but on the ring, where it is
+    2c = 2 (a x1^2 + b x2^2 - 2 (a x1 + b x2)^2) with x = Omega/2pi, which
+    a + b = 1/2 reduces to -(x1 - x2)^2 / 12, the same for both factors."""
+    lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
+    controls = np.stack([2.0 * (_A2 * lam1 + _A1 * lam2), 2.0 * (_A1 * lam1 + _A2 * lam2)])
+    shifts = np.zeros_like(controls)
+    if spec.kind == _model.RING:
+        shifts[:] = -(((lam1 - lam2) / (2.0 * math.pi)) ** 2) / 12.0
+    return controls, shifts
+
+
+def _step_controls(traj, n_steps):
+    """(controls, shifts): the 2 n_steps sub-step controls lam_bar and
+    energy shifts 2c of CF4 steps along ``traj`` (``_cf4_exponents``), in
+    the order they act; sub-steps 2k and 2k + 1 make up step k."""
+    middle = np.arange(n_steps) + 0.5
+    lam1 = traj.evaluate((middle - _NODE) / n_steps)
+    lam2 = traj.evaluate((middle + _NODE) / n_steps)
+    controls, shifts = _cf4_exponents(traj.spec, lam1, lam2)
+    return controls.T.reshape(-1), shifts.T.reshape(-1)
 
 
 class MidpointTable:
-    """Eigendecompositions of H at the step-midpoint control values, from
-    one ``spectral.eigh`` call: ``eigvals`` (n_steps, dim) and ``eigvecs``
-    (n_steps, dim, dim).
+    """Eigendecompositions of the 2 n_steps CF4 sub-step Hamiltonians, from
+    one ``spectral.eigh`` call at their controls (``_step_controls``):
+    ``eigvals`` (2 n_steps, dim), the energies with each sub-step's shift
+    added, and ``eigvecs`` (2 n_steps, dim, dim).
 
-    Valid for every duration at a fixed (trajectory, n_steps), because
-    midpoints sit at s = (k + 1/2)/n_steps regardless of t_f. Only the tree
-    product of small models reads it (``StepOverlaps``).
+    Valid for every duration at a fixed (trajectory, n_steps), because the
+    controls depend only on the normalized clock. Only the tree product of
+    small models reads it (``StepOverlaps``).
     """
 
     def __init__(self, traj, n_steps):
         self.trajectory = traj
         self.n_steps = int(n_steps)
-        self.lams = _midpoint_controls(traj, self.n_steps)
+        self.lams, shifts = _step_controls(traj, self.n_steps)
         self.eigvals, self.eigvecs = _spectral.eigh(traj.spec, self.lams)
+        self.eigvals += shifts[:, None]
 
 
 class StepOverlaps:
@@ -285,7 +337,7 @@ def _tree_product(factors, n: int, level: np.ndarray, spare: np.ndarray,
 
 
 def _total_propagator(steps: StepOverlaps, dt: float, scratch) -> np.ndarray:
-    """Product of all step propagators V_k exp(-i E_k dt) V_k^T at step dt,
+    """Product of all sub-step propagators V_k exp(-i E_k dt) V_k^T at dt,
     in the scratch of ``_tree_scratch``. The factors P_k O_k are formed one
     chunk at a time, their phases in ``term`` (d >= 2 makes room for them)."""
     level, spare, term = scratch
@@ -315,8 +367,9 @@ def evolve(control: _protocol.TimedControl, psi0, n_steps: int | None = None,
            n_save: int = 401) -> EvolutionResult:
     """Propagate psi0 (a vector, or a (dim, m) stack of column states)
     from t = 0 to t = control.t_f under the model of its trajectory, by
-    one frame pass (``_frame_states``) that keeps n_save states evenly
-    spaced in steps, psi0 and the final state included.
+    one frame pass (``_frame_states``) of n_steps CF4 steps that keeps
+    n_save states evenly spaced in steps, psi0 and the final state
+    included.
 
     Norm drift beyond 1e-9 raises StepSizeTooCoarse; the stepping is
     exactly unitary in its frame, so drift signals numerical breakdown
@@ -370,14 +423,15 @@ def _padded(a: np.ndarray, shape) -> np.ndarray:
 
 def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, levels: int,
                 saves=None):
-    """(states, leakage): the (dim, m) ``stack`` stepped along ``traj`` at
-    ``n_steps`` midpoint steps in its lowest ``levels`` adiabatic levels,
-    for every duration of ``tf_arr`` at once. states[j, i] is the (dim, m)
-    stack after saves[j] steps at tf_arr[i]; ``saves`` ascends and ends at
-    n_steps, which alone it holds by default. leakage is 1 minus the
+    """(states, leakage): the (dim, m) ``stack`` stepped along ``traj`` by
+    ``n_steps`` CF4 steps, 2 n_steps sub-steps, in its lowest ``levels``
+    adiabatic levels, for every duration of ``tf_arr`` at once.
+    states[j, i] is the (dim, m) stack after saves[j] steps (sub-step
+    2 saves[j]) at tf_arr[i]; ``saves`` ascends and ends at n_steps, which
+    alone it holds by default. leakage is 1 minus the
     smallest squared column norm left after the last step in the lowest
     ``levels`` - FRAME_GUARD levels (all of them when ``levels`` is dim).
-    The eigenvectors come one chunk of steps at a time from
+    The eigenvectors come one chunk of sub-steps at a time from
     ``spectral._solved``, which keeps only their lowest ``levels`` columns
     and, for a ring pass on the main thread, solves the next chunks on its
     solver threads while this one steps. Each chunk is stepped where the
@@ -385,10 +439,10 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
     the overlap across the next boundary, and the chunk is dropped before
     the next one is solved."""
     spec = traj.spec
-    lams = _midpoint_controls(traj, n_steps)
-    saves = [n_steps] if saves is None else list(saves)
+    lams, shifts = _step_controls(traj, n_steps)
+    saves = [2 * n_steps] if saves is None else [2 * k for k in saves]
     dim, m = stack.shape
-    dts = tf_arr / n_steps
+    dts = tf_arr / (2 * n_steps)
     # The coefficients are real rows (duration, column, re/im), so a step
     # is one real (rows, M) @ (M, M) product with O_k^T, the same for every
     # duration, then the phases. OpenBLAS (0.3.31) gives a row the same bits
@@ -403,7 +457,7 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
     # Saved stacks as (duration, column, bare index), returned transposed.
     states = np.empty((len(saves), len(dts), m, dim), dtype=complex)
     pos = 0
-    # Steps per chunk: its overlaps and its four phase arrays stay within
+    # Sub-steps per chunk: its overlaps and its four phase arrays stay within
     # _FRAME_CHUNK_ENTRIES, and ``_solved`` caps it at the steps whose
     # eigenvectors fit in spectral._CHUNK_ENTRIES (39 at K = 40).
     span = max(1, min(_CHUNK, _FRAME_CHUNK_ENTRIES // (width * (width + 4 * len(dts)))))
@@ -413,8 +467,8 @@ def _frame_pass(traj, n_steps: int, stack: np.ndarray, tf_arr: np.ndarray, level
         # Rotation by exp(-i E dt) acting on (re, im): cos on both parts,
         # plus (-sin, sin) on the swapped (im, re).
         angles = np.zeros((hi - lo, len(dts), width))
-        np.multiply(energies[:, None, :levels], -dts[None, :, None],
-                    out=angles[:, :, :levels])
+        energies = energies[:, :levels] + shifts[lo:hi, None]
+        np.multiply(energies[:, None, :], -dts[None, :, None], out=angles[:, :, :levels])
         cos = np.cos(angles)[:, :, None, None, :]
         signed = np.empty((hi - lo, len(dts), 1, 2, width))
         np.sin(angles, out=signed[:, :, 0, 1])
@@ -456,8 +510,8 @@ def _frame_states(traj, n_steps, stack, tf_arr, saves=None):
     if levels < dim:
         # A truncated step is a contraction, so a pass in M levels ends with
         # at least the leakage of the stack's projection onto the lowest M
-        # levels of the first midpoint frame.
-        first = _spectral.eigh(traj.spec, _midpoint_controls(traj, n_steps)[:1])[1][0]
+        # levels of the first sub-step's frame.
+        first = _spectral.eigh(traj.spec, _step_controls(traj, n_steps)[0][:1])[1][0]
         kept = np.cumsum(np.abs(first.T @ stack) ** 2, axis=0)
         while levels < dim and 1.0 - np.min(kept[levels - 1]) > LEAKAGE_LIMIT:
             levels = min(2 * levels, dim)
@@ -484,7 +538,7 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     stack, evolved along ``traj`` played over t_f, for t_f in ``tf_arr``
     (checked by ``_durations``). All durations share the step count, by
     default the largest rule of ``pairs`` at the longest one. Small models
-    whose full midpoint table fits in TABLE_ENTRY_BUDGET take the tree
+    whose full step table fits in TABLE_ENTRY_BUDGET take the tree
     product (``_tree_states``) and keep only its ``StepOverlaps``, and
     ``frame`` is a pair of None; every other sweep takes one frame pass
     over all durations (``_frame_states``), and ``frame`` is its (levels,
@@ -499,9 +553,8 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
         raise ValueError("n_steps must be >= 1")
     dim = traj.spec.dim
 
-    if dim <= TREE_PRODUCT_MAX_DIM and n_steps * dim * dim <= TABLE_ENTRY_BUDGET:
-        finals, errors = _tree_states(StepOverlaps(MidpointTable(traj, n_steps)), psi0,
-                                      tf_arr, n_steps)
+    if dim <= TREE_PRODUCT_MAX_DIM and 2 * n_steps * dim * dim <= TABLE_ENTRY_BUDGET:
+        finals, errors = _tree_states(StepOverlaps(MidpointTable(traj, n_steps)), psi0, tf_arr)
         frame = (None, None)
     else:
         (finals,), levels, leakage = _frame_states(traj, n_steps, psi0.reshape(dim, -1), tf_arr)
@@ -519,22 +572,24 @@ def _final_states(traj, psi0, tf_arr, n_steps=None, pairs=(None,)):
     return n_steps, final, frame
 
 
-def _tree_states(steps: StepOverlaps, psi0, tf_arr, n_steps):
+def _tree_states(steps: StepOverlaps, psi0, tf_arr):
     """(finals, errors): finals[i] is the total propagator of ``steps`` at
-    t_f = tf_arr[i] applied to psi0, and errors maps the index of a duration
+    t_f = tf_arr[i], so at dt = t_f over its number of sub-steps, applied
+    to psi0, and errors maps the index of a duration
     whose product raised FaquadError to that error. Where
     ``spectral._may_hand_off`` holds and there is more than one duration,
     one thread of ``spectral._solver_pool`` forms the first half of them
     and the calling thread the rest; both threads' scratch is made here,
     on the calling thread."""
     tf_list = tf_arr.tolist()
+    n_sub = steps.energies.shape[1]
     finals = np.empty((len(tf_list),) + psi0.shape, dtype=complex)
     errors = {}
 
     def form(indices, scratch):
         for i in indices:
             try:
-                finals[i] = _total_propagator(steps, tf_list[i] / n_steps, scratch) @ psi0
+                finals[i] = _total_propagator(steps, tf_list[i] / n_sub, scratch) @ psi0
             except FaquadError as exc:
                 errors[i] = exc
 
@@ -580,7 +635,7 @@ def fidelity_sweep(traj: _protocol.NormalizedTrajectory, tf_list, start=GROUND,
     the instantaneous ground state at the respective boundary; a bare
     index outside 1..dim raises ValueError. The step
     count defaults to the resolution rule at the largest duration and is
-    shared across points, so the midpoint tables are built once.
+    shared across points, so the step tables are built once.
     Per-point numerical failures are collected, not fatal.
     """
     tf_arr = _durations(tf_list)

@@ -3,7 +3,7 @@
 All model Hamiltonians are real symmetric, so eigenvectors can be kept
 real and made continuous along a grid by fixing the sign of each column
 against the previous grid point. ``eigh`` is the one-call eigensolver,
-and this the one module that assembles H: the midpoint tables and step
+and this the one module that assembles H: the step tables and step
 rule of ``dynamics``, the gap integral of ``perturbation`` and the
 ``spectrum`` subcommand read their energies from it. A long grid is
 solved as one chunk stream, ``_solved``, which the gauged stream below
@@ -230,12 +230,20 @@ def eigh(spec: _model.ModelSpec, lams):
     Raises FaquadError, naming the control, if the secular solver fails
     or returns a value that is not finite.
     """
-    lams = _grid(lams)
+    return _chunk(spec, _grid(lams))
+
+
+def _chunk(spec, lams, columns=None):
+    """``eigh`` at the controls ``lams`` with only the 0-based eigenvector
+    columns ``columns`` kept (all of them when None): ``numpy.linalg.eigh``
+    for the few-level models, and on the ring ``_outputs``, then the
+    secular half ``_ring_secular`` and the dense half ``_solve_ties``, each
+    with ``columns``, all on the calling thread."""
     if spec.kind != _model.RING:
-        return np.linalg.eigh(_model.hamiltonian(spec, lams))
-    energies, vectors = _outputs(spec, lams)
-    tie = _ring_secular(spec, lams, energies, vectors)
-    return _solve_ties(spec, lams, energies, vectors, tie)
+        energies, vectors = np.linalg.eigh(_model.hamiltonian(spec, lams))
+        return energies, vectors if columns is None else np.take(vectors, columns, axis=2)
+    out = _outputs(spec, lams, columns)
+    return _solve_ties(spec, lams, *out, _ring_secular(spec, lams, *out, columns), columns)
 
 
 def _outputs(spec, lams, columns=None):
@@ -361,24 +369,22 @@ def _solved(spec, lams, columns=None, span=None):
     _SOLVER_THREADS threads of ``_solver_pool``, at most _LOOKAHEAD chunks
     ahead of the one it yields, and keeps only ``columns`` there, so a
     chunk in flight holds no more. The tie controls, which assemble H, run
-    on the calling thread, and so does every chunk of every other stream.
-    A matrix's result depends on neither the thread nor the chunk, so
-    neither moves a bit."""
+    on the calling thread, and every chunk of every other stream runs
+    ``_chunk`` there, which keeps only ``columns`` too. A matrix's result
+    depends on neither the thread nor the chunk, so neither moves a bit."""
     n, dim = len(lams), spec.dim
     most = max(1, _CHUNK_ENTRIES // (dim * dim))
     span = most if span is None else max(1, min(span, most))
     bounds = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
 
-    # Kept columns are C order (n, dim, m), as take returns them, so a
-    # column stays strided as in the whole array: track_frames' einsum sums
-    # a contiguous column in another order, which would move the couplings'
-    # last bits. The stream drops a chunk once it has yielded it, so a
+    # Kept columns are C order (n, dim, m), as ``_outputs`` and take make
+    # them, so a column stays strided as in the whole array: track_frames'
+    # einsum sums a contiguous column in another order, which would move the
+    # couplings' last bits. The stream drops a chunk once it has yielded it, so a
     # caller that drops it too frees it before the next chunk is solved.
     if not _threaded(spec, len(bounds)):
         for lo, hi in bounds:
-            energies, vectors = eigh(spec, lams[lo:hi])
-            if columns is not None:
-                vectors = np.take(vectors, columns, axis=2)
+            energies, vectors = _chunk(spec, lams[lo:hi], columns)
             yield lo, hi, energies, vectors
             del energies, vectors
         return

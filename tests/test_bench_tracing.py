@@ -47,7 +47,7 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     monkeypatch.delenv("FAQUAD_WORKERS", raising=False)
     metrics, _ = _traced_metrics(tracing, tmp_path, ["figure", "fig6a", "--K", "20",
                                                      "--n-steps", "400", "--tf-count", "2"])
-    # The frame pass solves its steps in chunks and keeps no midpoint table,
+    # The frame pass solves its steps in chunks and keeps no step table,
     # so the tracer's table spans see none of the three sweeps.
     assert metrics["dynamics.table.builds"] == 0
     assert metrics["protocol.design.calls"] > 0
@@ -60,8 +60,8 @@ def test_tracer_reports_the_layers_of_a_ring_figure(tracing, tmp_path, monkeypat
     # (k - Omega/2pi)^2 tie; numpy's eigh sees only the tie controls
     # Omega = 0 and pi: the 7 single-control stacks (start and N = 3, 9
     # targets of the linear ramp, start and target of each FAQUAD design)
-    # and the 2 end points of the 2001-point design grid. No midpoint of
-    # the 3 x 400 steps is a tie: 7 + 2.
+    # and the 2 end points of the 2001-point design grid. No sub-step
+    # control of the 3 x 400 CF4 steps is a tie: 7 + 2.
     assert metrics["eigh.matrices"] == 9
     # The many-body layers stay on the CLI path.
     assert metrics["tg.stack_at.s"] > 0
@@ -75,8 +75,9 @@ def test_tracer_reports_the_default_step_rule_of_a_sweep(tracing, tmp_path, monk
         "--lambda-end", "0", "--tf-min", "0.5", "--tf-max", "10", "--tf-count", "3"])
     assert metrics["dynamics.table.builds"] == 1
     assert metrics["protocol.design.calls"] > 0
-    assert metrics["dynamics.n_steps"] == manifest["derived"]["n_steps"] == 14162
-    # The 14162-step table, the 2001-point design grid, the start vector
-    # and the step rule's 129 gap probes: 14162 + 2001 + 1 + 129. The
-    # prediction reads the design's gap and diagonalises nothing.
-    assert metrics["eigh.matrices"] == 16293
+    assert metrics["dynamics.n_steps"] == manifest["derived"]["n_steps"] == 1771
+    # The 1771-step table of 2 x 1771 sub-steps, the 2001-point design
+    # grid, the start vector and the step rule's 129 gap probes:
+    # 3542 + 2001 + 1 + 129. The prediction reads the design's gap and
+    # diagonalises nothing.
+    assert metrics["eigh.matrices"] == 5673

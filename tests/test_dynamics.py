@@ -1,4 +1,4 @@
-"""Midpoint-exponential propagation, sweeps, and adiabatic projections."""
+"""CF4 propagation, sweeps, and adiabatic projections."""
 
 import inspect
 import math
@@ -8,12 +8,20 @@ import types
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+
 from faquad import dynamics, model, perturbation, protocol, spectral, tg
 from faquad.errors import FaquadError, StepSizeTooCoarse
 
 from conftest import traced_peak
 
 PI_PULSE_TIME = math.pi / (2.0 * math.sqrt(2.0))
+# CF4 weights a1, a2 and the offset of the Gauss nodes from a step's middle.
+A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
+A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+NODE = math.sqrt(3.0) / 6.0
 
 
 def test_constant_control_preserves_eigenstate_populations(two_level_spec):
@@ -55,18 +63,73 @@ def test_unitarity(two_level_spec, two_level_faquad):
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
-def test_step_halving_convergence(two_level_spec, two_level_faquad):
-    # Midpoint exponentials are second order: halving the step should
-    # shrink the defect by about 4x.
-    control = protocol.rescale(two_level_faquad, 2.246)
-    psi0 = spectral.eigenstate(two_level_spec, 66.7, level=1).astype(complex)
-    states = [dynamics.evolve(control, psi0, n_steps=n).final_state
-              for n in (8192, 16384, 32768)]
-    d_coarse = np.max(np.abs(states[0] - states[1]))
-    d_fine = np.max(np.abs(states[1] - states[2]))
-    assert d_coarse < 1e-4
-    assert d_fine < d_coarse
-    assert 3.5 < d_coarse / d_fine < 4.5
+def test_step_halving_convergence(cotunneling_spec):
+    # CF4 is fourth order: on a smooth schedule, the bose-hubbard-3 linear
+    # ramp at t_f = 20, halving the step shrinks the defect by about 16x.
+    # Measured: differences 4.0e-8, 2.4e-9 and 1.5e-10, far above roundoff,
+    # and ratios 16.7 and 16.2.
+    control = protocol.rescale(protocol.linear_ramp(cotunneling_spec), 20.0)
+    psi0 = spectral.eigenstate(cotunneling_spec, 66.7, level=1).astype(complex)
+    states = [dynamics.evolve(control, psi0, n_steps=n, n_save=2).final_state
+              for n in (1000, 2000, 4000, 8000)]
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(states[:-1], states[1:])]
+    assert diffs[0] < 1e-6
+    assert diffs[-1] > 1e-11
+    for coarse, fine in zip(diffs[:-1], diffs[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_default_rule_matches_a_dop853_solve(two_level_faquad):
+    # The default rule at t_f = 10, the longest fig1b duration, against
+    # scipy's DOP853 along the same schedule: CF4 reads 4.3e-8 off.
+    t_f = 10.0
+    traj = two_level_faquad
+    curve = dynamics.fidelity_sweep(traj, [t_f], start="ground", target=1)
+    assert curve.n_steps == 1771
+    psi0 = spectral.eigenstate(traj.spec, traj.spec.lambda_start, level=1).astype(complex)
+
+    def rhs(t, psi):
+        return -1j * (model.hamiltonian(traj.spec, traj.evaluate(min(t / t_f, 1.0))) @ psi)
+
+    sol = solve_ivp(rhs, (0.0, t_f), psi0, method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success
+    assert abs(curve.population[0] - abs(sol.y[0, -1]) ** 2) <= 1e-7
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(model.KINDS), lam1=st.floats(-10.0, 10.0),
+       lam2=st.floats(-10.0, 10.0))
+def test_a_cf4_exponent_is_one_hamiltonian_and_a_shift(kind, lam1, lam2):
+    # a H(lam1) + b H(lam2) = (H(lam_bar) + 2c I) / 2 for both factors, the
+    # first (a, b) = (a2, a1) and the second (a1, a2), with c = 0 but on the
+    # ring, where c = a x1^2 + b x2^2 - 2 (a x1 + b x2)^2, x = Omega/2pi.
+    spec = {"two-level": model.two_level(U=22.3, delta_start=66.7, delta_end=0.0),
+            "bose-hubbard-3": model.bose_hubbard3(U=22.3, delta_start=66.7, delta_end=-66.7),
+            "ring": model.ring(u0=0.5, K=5)}[kind]
+    controls, shifts = dynamics._cf4_exponents(spec, np.array([lam1]), np.array([lam2]))
+    assert controls.shape == shifts.shape == (2, 1)
+    H1, H2 = model.hamiltonian(spec, lam1), model.hamiltonian(spec, lam2)
+    x1, x2 = lam1 / (2.0 * math.pi), lam2 / (2.0 * math.pi)
+    for (a, b), control, shift in zip([(A2, A1), (A1, A2)], controls[:, 0], shifts[:, 0]):
+        c = a * x1 * x1 + b * x2 * x2 - 2.0 * (a * x1 + b * x2) ** 2 if kind == "ring" else 0.0
+        assert shift == pytest.approx(2.0 * c, rel=1e-9, abs=1e-15)
+        want = a * H1 + b * H2
+        got = 0.5 * (model.hamiltonian(spec, control) + shift * np.eye(spec.dim))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_step_controls_are_the_exponents_at_the_gauss_nodes(ring_faquad_n3):
+    # Sub-steps 2k and 2k + 1 are the two factors of step k, the first
+    # acting first, at the nodes s = (k + 1/2 -/+ sqrt(3)/6)/n.
+    n_steps = 7
+    controls, shifts = dynamics._step_controls(ring_faquad_n3, n_steps)
+    middle = np.arange(n_steps) + 0.5
+    want = dynamics._cf4_exponents(ring_faquad_n3.spec,
+                                   ring_faquad_n3.evaluate((middle - NODE) / n_steps),
+                                   ring_faquad_n3.evaluate((middle + NODE) / n_steps))
+    assert np.array_equal(controls, want[0].T.reshape(-1))
+    assert np.array_equal(shifts, want[1].T.reshape(-1))
+    assert np.all(shifts < 0.0)
 
 
 def test_short_evolution_is_identity(two_level_spec, two_level_faquad):
@@ -91,20 +154,20 @@ def test_default_step_rule(two_level_faquad):
     got = dynamics.default_n_steps(two_level_faquad, 10.0)
     g = 22.3 - 66.7
     gap_max = math.sqrt(g * g + 8.0)
-    expected = max(2000, math.ceil(200.0 * 10.0 * gap_max / (2.0 * math.pi)))
+    expected = max(250, math.ceil(25.0 * 10.0 * gap_max / (2.0 * math.pi)))
     assert got == expected
-    assert dynamics.default_n_steps(two_level_faquad, 0.01) == 2000
+    assert dynamics.default_n_steps(two_level_faquad, 0.01) == 250
 
 
 def test_reversed_pair_takes_the_same_steps_and_sweep(two_level_spec, two_level_faquad):
     reversed_design = protocol.design_faquad(two_level_spec, pair=(2, 1))
     assert reversed_design.c_tilde == two_level_faquad.c_tilde
     assert dynamics.default_n_steps(two_level_faquad, 10.0, pair=(2, 1)) == \
-        dynamics.default_n_steps(two_level_faquad, 10.0) == 14162
+        dynamics.default_n_steps(two_level_faquad, 10.0) == 1771
     points = [0.5, 5.25, 10.0]
     forward = dynamics.fidelity_sweep(two_level_faquad, points)
     backward = dynamics.fidelity_sweep(reversed_design, points)
-    assert backward.n_steps == forward.n_steps == 14162
+    assert backward.n_steps == forward.n_steps == 1771
     assert np.array_equal(backward.population, forward.population)
 
 
@@ -345,10 +408,11 @@ def test_sweeps_turn_a_failed_point_into_nan(monkeypatch, two_level_faquad,
 
     def middle_point_fails(*a, **kw):
         # The tree forms its durations on two threads in no fixed order, so
-        # its failure is keyed to the middle duration's step; on the other
-        # paths the second call is the middle point's.
+        # its failure is keyed to the middle duration's sub-step (2048 CF4
+        # steps, 4096 sub-steps); on the other paths the second call is the
+        # middle point's.
         calls.append(None)
-        if a[1] == points[1] / 2048 if patched == "_total_propagator" else len(calls) == 2:
+        if a[1] == points[1] / 4096 if patched == "_total_propagator" else len(calls) == 2:
             raise FaquadError("injected")
         return original(*a, **kw)
 
@@ -385,6 +449,28 @@ def test_small_ring_sweeps_take_the_tree_product(monkeypatch, K):
         assert np.max(np.abs(state - streamed.final_state)) <= 1e-12
 
 
+@pytest.mark.parametrize("K", [2, 3])
+def test_ring_tree_and_frame_pass_share_the_global_phase(K):
+    # The ring's sub-steps carry the shift 2c of their exponent, which turns
+    # every state by the phase sum(2c) dt: 3.5e-6 rad at 200 steps and
+    # t_f = 20. The tree path and the frame pass both apply it, so their
+    # states agree with each other and with the bare-basis CF4 stepper,
+    # phase included, far below that turn.
+    spec = model.ring(u0=0.5, K=K)
+    assert spec.dim <= dynamics.TREE_PRODUCT_MAX_DIM
+    traj = protocol.linear_ramp(spec)
+    psi0 = tg.stack_at(spec, spec.lambda_start, 3)
+    n_steps, t_f = 200, 20.0
+    _, shifts = dynamics._step_controls(traj, n_steps)
+    assert abs(np.sum(shifts) * t_f / (2 * n_steps)) > 3e-6
+    _, final, frame = dynamics._final_states(traj, psi0, np.array([t_f]), n_steps)
+    assert frame == (None, None)
+    (passed,), _ = dynamics._frame_pass(traj, n_steps, psi0, np.array([t_f]), spec.dim)
+    reference = _bare_steps(traj, psi0, t_f, n_steps)[-1]
+    assert np.max(np.abs(final(t_f) - passed[0])) <= 1e-12
+    assert np.max(np.abs(final(t_f) - reference)) <= 1e-12
+
+
 def test_a_ground_target_is_solved_once(monkeypatch, two_level_faquad):
     # One eigenstate for the start and one for the target, whatever the
     # number of durations.
@@ -404,20 +490,32 @@ ROUNDING = 1e-11
 
 def _bare_steps(traj, psi0, t_f, n_steps):
     """The reference integrator, apart from the code under test: psi0 (a
-    vector or a (dim, m) stack) stepped in the bare basis by the midpoint
-    rule, psi <- V exp(-i E dt) V^T psi with complex matrix products, from
-    ``spectral.eigh``. Returns the (n_steps + 1, dim, m) states after 0 to
-    n_steps steps."""
+    vector or a (dim, m) stack) stepped in the bare basis by CF4, each
+    factor exp(-i h (a H1 + b H2)) taken as psi <- V exp(-i (E + 2c) h/2)
+    V^T psi with complex matrix products, V and E from ``spectral.eigh`` at
+    lam_bar = 2 (a lam1 + b lam2), (a, b) = (a2, a1) first, then (a1, a2),
+    and 2c the ring's identity term (zero for the other models). Returns
+    the (n_steps + 1, dim, m) states after 0 to n_steps steps."""
     spec = traj.spec
-    lams = traj.evaluate((np.arange(n_steps) + 0.5) / n_steps)
-    dt = t_f / n_steps
+    middle = np.arange(n_steps) + 0.5
+    lam1 = traj.evaluate((middle - NODE) / n_steps)
+    lam2 = traj.evaluate((middle + NODE) / n_steps)
+    x1, x2 = lam1 / (2.0 * math.pi), lam2 / (2.0 * math.pi)
+    factors = []
+    for a, b in ((A2, A1), (A1, A2)):
+        c = a * x1 * x1 + b * x2 * x2 - 2.0 * (a * x1 + b * x2) ** 2
+        factors.append((2.0 * (a * lam1 + b * lam2),
+                        2.0 * c if spec.kind == model.RING else np.zeros(n_steps)))
+    dt = t_f / (2 * n_steps)
     psi = np.asarray(psi0, dtype=complex).reshape(spec.dim, -1)
     states = [psi]
     for lo in range(0, n_steps, 256):
-        energies, vectors = spectral.eigh(spec, lams[lo : lo + 256])
-        for w, v in zip(energies, vectors):
-            v = v.astype(complex)
-            psi = v @ (np.exp(-1j * w * dt)[:, None] * (v.T @ psi))
+        solved = [(spectral.eigh(spec, lams[lo : lo + 256]), shifts[lo : lo + 256])
+                  for lams, shifts in factors]
+        for k in range(len(solved[0][1])):
+            for (energies, vectors), shifts in solved:
+                v = vectors[k].astype(complex)
+                psi = v @ (np.exp(-1j * (energies[k] + shifts[k]) * dt)[:, None] * (v.T @ psi))
             states.append(psi)
     return np.stack(states)
 
@@ -533,21 +631,23 @@ def test_frame_pass_steps_chunks_of_seven_as_one(monkeypatch, cores, levels):
     assert leakage == whole_leakage
 
 
-@pytest.mark.parametrize("cores,bound", [(2, 4.5e6), (1, 4.2e6)], ids=["threaded", "inline"])
+@pytest.mark.parametrize("cores,bound", [(2, 4.5e6), (1, 2.5e6)], ids=["threaded", "inline"])
 def test_ring_frame_pass_holds_no_frame_buffer(monkeypatch, cores, bound):
     # One frame pass of the ring-duration shape: K = 40, an N = 9 stack, 3
-    # durations, 4000 steps in 32 levels. It steps each chunk where the stream
-    # yields it and keeps the chunk's last frame alone; the stream drops a
-    # chunk before it solves the next. Traced peaks: 3.81 MB with the solver
-    # threads (three chunks in flight) and 3.47 MB inline. Copying each chunk
-    # into a (40, 81, 32) frame buffer traced 5.14 and 5.70 MB. Each bound is
-    # its peak plus about 0.7 MB.
+    # durations, 2000 CF4 steps (4000 sub-steps) in 32 levels. It steps each
+    # chunk where the stream yields it and keeps the chunk's last frame
+    # alone; the stream drops a chunk before it solves the next. Traced
+    # peaks: 3.83 MB with the solver threads (three chunks in flight) and
+    # 1.76 MB inline, where a chunk keeps only its 32 columns as on the
+    # threads (3.47 MB when it formed all 81 before taking them). Copying
+    # each chunk into a (40, 81, 32) frame buffer traced 5.14 and 5.70 MB.
+    # Each bound is its peak plus about 0.7 MB.
     spec = model.ring(u0=0.5, K=40)
     traj = protocol.linear_ramp(spec)
     stack = tg.stack_at(spec, spec.lambda_start, 9)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     (states, _), peak = traced_peak(lambda: dynamics._frame_pass(
-        traj, 4000, stack, np.array([30.0, 60.0, 90.0]), dynamics.FRAME_LEVELS))
+        traj, 2000, stack, np.array([30.0, 60.0, 90.0]), dynamics.FRAME_LEVELS))
     assert states.shape == (1, 3, spec.dim, 9)
     assert peak <= bound
 
@@ -568,7 +668,7 @@ def test_frame_levels_double_while_the_stack_leaks(K, levels):
 
 def test_frame_states_skip_levels_the_start_already_leaks(monkeypatch):
     # A bare K = 40 state leaves 1.1e-7 of its norm outside the lowest 32
-    # levels of the first midpoint frame and 7.2e-9 outside 64, and no
+    # levels of the first sub-step's frame and 7.2e-9 outside 64, and no
     # truncated pass can end with less, so evolve steps it once, at all 81.
     spec = model.ring(u0=0.5, K=40)
     control = protocol.TimedControl(protocol.linear_ramp(spec), 10.0)
@@ -592,8 +692,8 @@ def test_frame_states_skip_levels_the_start_already_leaks(monkeypatch):
 
 def test_ring_duration_sweep_holds_only_the_frame_levels():
     # The fig6a shape: a K = 40 ring at 4000 steps steps in 32 levels,
-    # solved one chunk of steps at a time, so no midpoint table is built
-    # (a (4000, 81, 81) one would take 210 MB).
+    # solved one chunk of sub-steps at a time, so no step table is built
+    # (a (8000, 81, 81) one would take 420 MB).
     shapes = []
     init = dynamics.MidpointTable.__init__
 
@@ -612,13 +712,13 @@ def test_ring_duration_sweep_holds_only_the_frame_levels():
 
 
 @pytest.mark.parametrize("kind,budget,passes,levels", [
-    ("two-level", 800 * 2 * 2, 0, None),
-    ("two-level", 800 * 2 * 2 - 1, 1, 2),
-    ("ring", 800 * 81 * 81, 1, dynamics.FRAME_LEVELS),
+    ("two-level", 2 * 800 * 2 * 2, 0, None),
+    ("two-level", 2 * 800 * 2 * 2 - 1, 1, 2),
+    ("ring", 2 * 800 * 81 * 81, 1, dynamics.FRAME_LEVELS),
 ], ids=["tree", "frame", "ring"])
 def test_table_budget_gates_only_the_tree_table(monkeypatch, two_level_faquad, kind, budget,
                                                 passes, levels):
-    # TABLE_ENTRY_BUDGET bounds the tree's full table, n_steps x dim^2: a
+    # TABLE_ENTRY_BUDGET bounds the tree's full table, 2 n_steps x dim^2: a
     # small model whose table does not fit takes the frame pass at M = dim,
     # with the tree's populations to rounding. A ring sweep takes the frame
     # pass whatever the budget, and builds no table.
@@ -687,10 +787,12 @@ def test_ring_evolve_matches_a_complex_matmul_loop():
 def test_total_propagator_matches_an_extended_precision_step_product(
         request, spec_name, traj_name, t_f, n_steps):
     # The regrouped tree product against the step-by-step product of the
-    # same table's propagators V_k exp(-i E_k dt) V_k^T, in clongdouble.
+    # same table's sub-step propagators V_k exp(-i E_k dt) V_k^T, in
+    # clongdouble: 2 n_steps of them at dt = t_f / (2 n_steps).
     spec, traj = request.getfixturevalue(spec_name), request.getfixturevalue(traj_name)
     table = dynamics.MidpointTable(traj, n_steps)
-    dt = t_f / n_steps
+    assert table.eigvals.shape == (2 * n_steps, spec.dim)
+    dt = t_f / (2 * n_steps)
     steps = dynamics.StepOverlaps(table)
     U = dynamics._total_propagator(steps, dt, dynamics._tree_scratch(steps))
 
@@ -765,15 +867,15 @@ def test_total_propagator_is_the_pairwise_reduction_of_the_phased_overlaps(d, n)
 
 
 def test_a_two_thread_tree_sweep_holds_one_level_per_thread(two_cores, cotunneling_faquad):
-    # The fig4b shape at its default step rule up to t_f = 20: 28309 steps
-    # of d = 3. Each thread holds a (3, 3, 14154) first tree level (2.0 MB),
+    # The fig4b shape up to t_f = 20 at 14155 CF4 steps, 28310 sub-steps of
+    # d = 3. Each thread holds a (3, 3, 14155) first tree level (2.0 MB),
     # a chunk of 8192 factors (1.2 MB) and a term (0.6 MB), beside the
-    # shared overlaps (2.0 MB). With a full phased (3, 3, 28309) stack and
+    # shared overlaps (2.0 MB). With a full phased (3, 3, 28310) stack and
     # its half-length spare per thread, one thread alone traced 11.2 MB and
     # two would take about 19 MB. Two threads traced 11.1 MB; the bound
     # leaves 1.4 MB of margin.
     curve, peak = traced_peak(lambda: dynamics.fidelity_sweep(
-        cotunneling_faquad, np.linspace(0.5, 20.0, 6), n_steps=28309))
+        cotunneling_faquad, np.linspace(0.5, 20.0, 6), n_steps=14155))
     assert curve.failures == [] and np.all(np.isfinite(curve.population))
     assert peak <= 12.5e6
 

@@ -257,15 +257,16 @@ def test_design_track_holds_no_eigenvector_table(ring_spec):
     assert peak <= 25e6
 
 
-@pytest.mark.parametrize("cores,bound", [(2, 3.0e6), (1, 4.5e6)], ids=["threaded", "inline"])
+@pytest.mark.parametrize("cores,bound", [(2, 3.0e6), (1, 2.5e6)], ids=["threaded", "inline"])
 def test_design_track_holds_no_grid_sized_vectors(monkeypatch, ring_spec, cores, bound):
     # The same track takes its couplings chunk by chunk from the gauged
     # stream, so beside the (2001, 81) energies (1.3 MB) it holds only the
     # chunks in flight. Traced peaks: 2.36 MB with the solver threads and
-    # 3.78 MB inline, where eigh returns all 81 columns of a 39-control chunk
-    # (2.0 MB) before four are taken. Gauged (2001, 81, 4) vectors, a
-    # full-grid dH and the coupling product traced 9.2 and 11.0 MB. Each
-    # bound is its peak plus about 0.7 MB.
+    # 1.84 MB inline, where each chunk keeps only its four columns as the
+    # threads do; forming all 81 columns of a 39-control chunk (2.0 MB)
+    # before taking four traced 3.78 MB inline. Gauged (2001, 81, 4)
+    # vectors, a full-grid dH and the coupling product traced 9.2 and
+    # 11.0 MB. Each bound is its peak plus about 0.7 MB.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     track, peak = traced_peak(lambda: protocol.design_track(ring_spec, [(3, 4), (9, 10)]))
     assert track.pairs == ((3, 4), (9, 10))
@@ -530,11 +531,14 @@ def test_stream_matches_a_serial_chunk_by_chunk_eigh(monkeypatch, two_cores, chu
     traj = protocol.linear_ramp(spec)
     stack = tg.stack_at(spec, spec.lambda_start, 9)
     tf_arr = np.array([20.0, 90.0])
-    monkeypatch.setattr(dynamics, "_midpoint_controls", lambda traj, n_steps: lams[:n_steps])
+    # The pass's 90 CF4 steps take these 180 controls as their sub-steps,
+    # unshifted; step 7 ends on sub-step 14, the end of the second chunk of 7.
+    monkeypatch.setattr(dynamics, "_step_controls",
+                        lambda traj, n_steps: (lams[: 2 * n_steps], np.zeros(2 * n_steps)))
 
     def both():
         return (spectral.frames(spec, lams), spectral.frames(spec, lams, [2, 3, 8, 9]),
-                dynamics._frame_pass(traj, len(lams), stack, tf_arr, 32, saves=[7, 100, 180]))
+                dynamics._frame_pass(traj, len(lams) // 2, stack, tf_arr, 32, saves=[7, 50, 90]))
 
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_CHUNK_ENTRIES", len(lams) * spec.dim ** 2)
@@ -589,10 +593,10 @@ def test_a_failed_chunk_names_its_control_and_the_pool_goes_on(monkeypatch, two_
         def run():
             return spectral.frames(spec, lams)
     else:
-        lams = dynamics._midpoint_controls(traj, 32)
+        lams = dynamics._step_controls(traj, 16)[0]
 
         def run():
-            return tg.duration_sweep([3], traj, [5.0, 10.0], n_steps=32)[0].fidelity
+            return tg.duration_sweep([3], traj, [5.0, 10.0], n_steps=16)[0].fidelity
     bad = float(lams[16])
     solve = spectral._DLAED9
     monkeypatch.setattr(spectral, "_DLAED9", _failing_at(bad))

@@ -145,7 +145,7 @@ def test_duration_sweep_scores_each_filling_on_one_stack(ring_faquad_n3):
 
 def test_fig6a_takes_one_frame_pass_per_trajectory(tmp_path, monkeypatch):
     # The linear ramp serves both fillings; each FAQUAD design has its own
-    # pass. No midpoint table is built.
+    # pass. No step table is built.
     passes = []
     frame_pass = dynamics._frame_pass
 
@@ -154,7 +154,7 @@ def test_fig6a_takes_one_frame_pass_per_trajectory(tmp_path, monkeypatch):
         return frame_pass(traj, *args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a midpoint table was built")
+        raise AssertionError("a step table was built")
 
     monkeypatch.setattr(dynamics, "_frame_pass", counting_pass)
     monkeypatch.setattr(dynamics, "MidpointTable", refused)
